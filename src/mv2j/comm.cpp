@@ -1,17 +1,21 @@
-// ByteBuffer paths and communicator management of the MVAPICH2-J
-// bindings. This is the paper's Figure 4 pipeline: reference in, one JNI
-// crossing, GetDirectBufferAddress, native MPI call on the raw pointer.
+// ByteBuffer paths and communicator management of the binding core. This
+// is the paper's Figure 4 pipeline: reference in, one JNI crossing,
+// GetDirectBufferAddress, native MPI call on the raw pointer.
 #include "jhpc/mv2j/comm.hpp"
 
-#include "jhpc/minijvm/jni.hpp"
+#include "detail.hpp"
 #include "jhpc/mv2j/env.hpp"
-#include "jhpc/support/error.hpp"
+#include "jhpc/mv2j/win.hpp"
 
-namespace jhpc::mv2j {
+namespace jhpc::bindings {
 
 namespace {
+
+using detail::basic_only;
+using detail::count_of;
+using detail::Layout;
+
 std::size_t payload_bytes(int count, const Datatype& type) {
-  JHPC_REQUIRE(count >= 0, "negative element count");
   return static_cast<std::size_t>(count) * type.size();
 }
 
@@ -21,30 +25,44 @@ std::size_t payload_bytes(int count, const Datatype& type) {
 // buffer start (negative lower bound) cannot be addressed through a
 // ByteBuffer handed over by its base pointer.
 std::size_t span_bytes(int count, const Datatype& type, const char* what) {
-  JHPC_REQUIRE(count >= 0, "negative element count");
-  if (type.isBasic()) return payload_bytes(count, type);
+  const std::size_t n = count_of(count, what);
+  if (type.isBasic()) return n * type.size();
   JHPC_REQUIRE(type.native().true_lb() >= 0,
                std::string(what) +
                    ": datatypes with a negative lower bound are not "
                    "addressable through a ByteBuffer");
-  return static_cast<std::size_t>(count) * type.extent();
+  return n * type.extent();
 }
 
-// Collectives with no typed substrate form yet.
-std::size_t basic_only(int count, const Datatype& type, const char* what) {
-  JHPC_REQUIRE(count >= 0, "negative element count");
-  if (!type.isBasic()) {
-    throw UnsupportedOperationError(
-        std::string(what) +
-        ": derived datatypes are not supported on this collective (typed "
-        "forms exist for point-to-point and the non-vectored collectives)");
-  }
-  return static_cast<std::size_t>(count) * type.size();
+// Call `f` with the native form of `count` elements of `type`: the byte
+// count for a basic type, (count, layout) for a derived one, which the
+// substrate gathers/scatters in place.
+template <class F>
+decltype(auto) with_bytes(int count, const Datatype& type, F&& f) {
+  if (type.isBasic()) return f(payload_bytes(count, type));
+  return f(count, type.native());
 }
+
+// The same for reductions: (elements, kind) for a basic type.
+template <class F>
+decltype(auto) with_elems(int count, const Datatype& type, F&& f) {
+  if (type.isBasic()) return f(static_cast<std::size_t>(count), type.kind());
+  return f(count, type.native());
+}
+
 }  // namespace
 
-std::byte* Comm::buffer_address(const ByteBuffer& buf, std::size_t bytes,
-                                const char* what) const {
+template <VendorPolicy P>
+minijvm::JniEnv& Comm<P>::enter(const char* what) const {
+  JHPC_REQUIRE(valid(), std::string(what) + " on invalid communicator");
+  minijvm::JniEnv& jni = env_->jvm_->jni();
+  jni.crossing();
+  return jni;
+}
+
+template <VendorPolicy P>
+std::byte* Comm<P>::buffer_address(const ByteBuffer& buf, std::size_t bytes,
+                                   const char* what) const {
   minijvm::JniEnv& jni = env_->jvm_->jni();
   void* p = jni.get_direct_buffer_address(buf);
   if (p == nullptr) {
@@ -60,72 +78,68 @@ std::byte* Comm::buffer_address(const ByteBuffer& buf, std::size_t bytes,
 
 // --- Point-to-point: ByteBuffer ------------------------------------------------
 
-void Comm::send(const ByteBuffer& buf, int count, const Datatype& type,
-                int dest, int tag) const {
-  JHPC_REQUIRE(valid(), "send on invalid communicator");
-  const std::size_t span = span_bytes(count, type, "send");
-  env_->jvm_->jni().crossing();
-  const std::byte* p = buffer_address(buf, span, "send");
-  if (type.isBasic()) {
-    native_.send(p, payload_bytes(count, type), dest, tag);
-  } else {
-    native_.send(p, count, type.native(), dest, tag);
-  }
+template <VendorPolicy P>
+void Comm<P>::send(const ByteBuffer& buf, int count, const Datatype& type,
+                   int dest, int tag) const {
+  minijvm::JniEnv& jni = enter("send");
+  // Open MPI-J marshals a Datatype/Comm object graph per call (a couple
+  // of extra JNI field accesses); MVAPICH2-J's thinner layer avoids it —
+  // the small but visible gap in the paper's Figure 11.
+  if constexpr (P.marshal_per_call) jni.handle_check();
+  const std::byte* p = buffer_address(buf, span_bytes(count, type, "send"),
+                                      "send");
+  with_bytes(count, type,
+             [&](auto&&... n) { native_.send(p, n..., dest, tag); });
 }
 
-Status Comm::recv(ByteBuffer& buf, int count, const Datatype& type,
-                  int source, int tag) const {
-  JHPC_REQUIRE(valid(), "recv on invalid communicator");
-  const std::size_t span = span_bytes(count, type, "recv");
-  env_->jvm_->jni().crossing();
-  std::byte* p = buffer_address(buf, span, "recv");
+template <VendorPolicy P>
+Status Comm<P>::recv(ByteBuffer& buf, int count, const Datatype& type,
+                     int source, int tag) const {
+  minijvm::JniEnv& jni = enter("recv");
+  // Per-call Status object construction + field marshalling (see send()).
+  if constexpr (P.marshal_per_call) jni.handle_check();
+  std::byte* p = buffer_address(buf, span_bytes(count, type, "recv"), "recv");
   minimpi::Status st;
-  if (type.isBasic()) {
-    native_.recv(p, payload_bytes(count, type), source, tag, &st);
-  } else {
-    native_.recv(p, count, type.native(), source, tag, &st);
-  }
+  with_bytes(count, type,
+             [&](auto&&... n) { native_.recv(p, n..., source, tag, &st); });
   return Status(st);
 }
 
-Request Comm::iSend(const ByteBuffer& buf, int count, const Datatype& type,
-                    int dest, int tag) const {
-  JHPC_REQUIRE(valid(), "iSend on invalid communicator");
-  const std::size_t span = span_bytes(count, type, "iSend");
-  env_->jvm_->jni().crossing();
-  const std::byte* p = buffer_address(buf, span, "iSend");
-  if (type.isBasic()) {
-    return Request(native_.isend(p, payload_bytes(count, type), dest, tag),
-                   nullptr);
-  }
-  return Request(native_.isend(p, count, type.native(), dest, tag), nullptr);
+template <VendorPolicy P>
+Request Comm<P>::iSend(const ByteBuffer& buf, int count, const Datatype& type,
+                       int dest, int tag) const {
+  enter("iSend");
+  const std::byte* p = buffer_address(buf, span_bytes(count, type, "iSend"),
+                                      "iSend");
+  return no_staging(with_bytes(count, type, [&](auto&&... n) {
+    return native_.isend(p, n..., dest, tag);
+  }));
 }
 
-Request Comm::iRecv(ByteBuffer& buf, int count, const Datatype& type,
-                    int source, int tag) const {
-  JHPC_REQUIRE(valid(), "iRecv on invalid communicator");
-  const std::size_t span = span_bytes(count, type, "iRecv");
-  env_->jvm_->jni().crossing();
-  std::byte* p = buffer_address(buf, span, "iRecv");
-  if (type.isBasic()) {
-    return Request(native_.irecv(p, payload_bytes(count, type), source, tag),
-                   nullptr);
-  }
-  return Request(native_.irecv(p, count, type.native(), source, tag),
-                 nullptr);
+template <VendorPolicy P>
+Request Comm<P>::iRecv(ByteBuffer& buf, int count, const Datatype& type,
+                       int source, int tag) const {
+  enter("iRecv");
+  std::byte* p = buffer_address(buf, span_bytes(count, type, "iRecv"),
+                                "iRecv");
+  return no_staging(with_bytes(count, type, [&](auto&&... n) {
+    return native_.irecv(p, n..., source, tag);
+  }));
 }
 
-Status Comm::sendRecv(const ByteBuffer& sendbuf, int sendcount,
-                      const Datatype& sendtype, int dest, int sendtag,
-                      ByteBuffer& recvbuf, int recvcount,
-                      const Datatype& recvtype, int source,
-                      int recvtag) const {
-  JHPC_REQUIRE(valid(), "sendRecv on invalid communicator");
-  const std::size_t sspan = span_bytes(sendcount, sendtype, "sendRecv");
-  const std::size_t rspan = span_bytes(recvcount, recvtype, "sendRecv");
-  env_->jvm_->jni().crossing();
-  const std::byte* sp = buffer_address(sendbuf, sspan, "sendRecv");
-  std::byte* rp = buffer_address(recvbuf, rspan, "sendRecv");
+template <VendorPolicy P>
+Status Comm<P>::sendRecv(const ByteBuffer& sendbuf, int sendcount,
+                         const Datatype& sendtype, int dest, int sendtag,
+                         ByteBuffer& recvbuf, int recvcount,
+                         const Datatype& recvtype, int source,
+                         int recvtag) const
+  requires kPooled<P>
+{
+  enter("sendRecv");
+  const std::byte* sp = buffer_address(
+      sendbuf, span_bytes(sendcount, sendtype, "sendRecv"), "sendRecv");
+  std::byte* rp = buffer_address(
+      recvbuf, span_bytes(recvcount, recvtype, "sendRecv"), "sendRecv");
   minimpi::Status st;
   if (sendtype.isBasic() && recvtype.isBasic()) {
     native_.sendrecv(sp, payload_bytes(sendcount, sendtype), dest, sendtag,
@@ -138,15 +152,15 @@ Status Comm::sendRecv(const ByteBuffer& sendbuf, int sendcount,
   return Status(st);
 }
 
-Status Comm::probe(int source, int tag) const {
-  JHPC_REQUIRE(valid(), "probe on invalid communicator");
-  env_->jvm_->jni().crossing();
+template <VendorPolicy P>
+Status Comm<P>::probe(int source, int tag) const {
+  enter("probe");
   return Status(native_.probe(source, tag));
 }
 
-bool Comm::iProbe(int source, int tag, Status* status) const {
-  JHPC_REQUIRE(valid(), "iProbe on invalid communicator");
-  env_->jvm_->jni().crossing();
+template <VendorPolicy P>
+bool Comm<P>::iProbe(int source, int tag, Status* status) const {
+  enter("iProbe");
   minimpi::Status st;
   if (!native_.iprobe(source, tag, &st)) return false;
   if (status != nullptr) *status = Status(st);
@@ -155,393 +169,329 @@ bool Comm::iProbe(int source, int tag, Status* status) const {
 
 // --- Blocking collectives: ByteBuffer ------------------------------------------
 
-void Comm::barrier() const {
-  JHPC_REQUIRE(valid(), "barrier on invalid communicator");
-  env_->jvm_->jni().crossing();
+template <VendorPolicy P>
+void Comm<P>::barrier() const {
+  enter("barrier");
   native_.barrier();
 }
 
-void Comm::bcast(ByteBuffer& buf, int count, const Datatype& type,
-                 int root) const {
-  JHPC_REQUIRE(valid(), "bcast on invalid communicator");
-  const std::size_t span = span_bytes(count, type, "bcast");
-  env_->jvm_->jni().crossing();
-  std::byte* p = buffer_address(buf, span, "bcast");
-  if (type.isBasic()) {
-    native_.bcast(p, payload_bytes(count, type), root);
-  } else {
-    native_.bcast(p, count, type.native(), root);
-  }
+template <VendorPolicy P>
+void Comm<P>::bcast(ByteBuffer& buf, int count, const Datatype& type,
+                    int root) const {
+  enter("bcast");
+  std::byte* p = buffer_address(buf, span_bytes(count, type, "bcast"),
+                                "bcast");
+  with_bytes(count, type, [&](auto&&... n) { native_.bcast(p, n..., root); });
 }
 
-void Comm::reduce(const ByteBuffer& sendbuf, ByteBuffer& recvbuf, int count,
-                  const Datatype& type, const Op& op, int root) const {
-  JHPC_REQUIRE(valid(), "reduce on invalid communicator");
+template <VendorPolicy P>
+void Comm<P>::reduce(const ByteBuffer& sendbuf, ByteBuffer& recvbuf,
+                     int count, const Datatype& type, const Op& op,
+                     int root) const {
+  enter("reduce");
   const std::size_t span = span_bytes(count, type, "reduce");
-  env_->jvm_->jni().crossing();
   const std::byte* sp = buffer_address(sendbuf, span, "reduce");
   // Non-root ranks may pass any recv buffer; only the root's is written.
-  std::byte* rp = getRank() == root
-                      ? buffer_address(recvbuf, span, "reduce")
-                      : buffer_address(recvbuf, 0, "reduce");
-  if (type.isBasic()) {
-    native_.reduce(sp, rp, static_cast<std::size_t>(count), type.kind(),
-                   op.native(), root);
-  } else {
-    native_.reduce(sp, rp, count, type.native(), op.native(), root);
-  }
+  std::byte* rp =
+      buffer_address(recvbuf, getRank() == root ? span : 0, "reduce");
+  with_elems(count, type, [&](auto&&... n) {
+    native_.reduce(sp, rp, n..., op.native(), root);
+  });
 }
 
-void Comm::allReduce(const ByteBuffer& sendbuf, ByteBuffer& recvbuf,
-                     int count, const Datatype& type, const Op& op) const {
-  JHPC_REQUIRE(valid(), "allReduce on invalid communicator");
+template <VendorPolicy P>
+void Comm<P>::allReduce(const ByteBuffer& sendbuf, ByteBuffer& recvbuf,
+                        int count, const Datatype& type, const Op& op) const {
+  enter("allReduce");
   const std::size_t span = span_bytes(count, type, "allReduce");
-  env_->jvm_->jni().crossing();
   const std::byte* sp = buffer_address(sendbuf, span, "allReduce");
   std::byte* rp = buffer_address(recvbuf, span, "allReduce");
-  if (type.isBasic()) {
-    native_.allreduce(sp, rp, static_cast<std::size_t>(count), type.kind(),
-                      op.native());
-  } else {
-    native_.allreduce(sp, rp, count, type.native(), op.native());
-  }
+  with_elems(count, type, [&](auto&&... n) {
+    native_.allreduce(sp, rp, n..., op.native());
+  });
 }
 
-void Comm::reduceScatterBlock(const ByteBuffer& sendbuf,
-                              ByteBuffer& recvbuf, int recvcount,
-                              const Datatype& type, const Op& op) const {
-  JHPC_REQUIRE(valid(), "reduceScatterBlock on invalid communicator");
-  const std::size_t block = basic_only(recvcount, type, "reduceScatterBlock");
-  env_->jvm_->jni().crossing();
+template <VendorPolicy P>
+void Comm<P>::reduceScatterBlock(const ByteBuffer& sendbuf,
+                                 ByteBuffer& recvbuf, int recvcount,
+                                 const Datatype& type, const Op& op) const {
+  enter("reduceScatterBlock");
+  basic_only(type, "reduceScatterBlock");
+  const std::size_t block = span_bytes(recvcount, type, "reduceScatterBlock");
   const std::byte* sp = buffer_address(
       sendbuf, block * static_cast<std::size_t>(getSize()),
       "reduceScatterBlock");
   std::byte* rp = buffer_address(recvbuf, block, "reduceScatterBlock");
-  native_.reduce_scatter_block(sp, rp,
-                               static_cast<std::size_t>(recvcount),
+  native_.reduce_scatter_block(sp, rp, static_cast<std::size_t>(recvcount),
                                type.kind(), op.native());
 }
 
-void Comm::scan(const ByteBuffer& sendbuf, ByteBuffer& recvbuf, int count,
-                const Datatype& type, const Op& op) const {
-  JHPC_REQUIRE(valid(), "scan on invalid communicator");
-  const std::size_t bytes = basic_only(count, type, "scan");
-  env_->jvm_->jni().crossing();
+template <VendorPolicy P>
+void Comm<P>::scan(const ByteBuffer& sendbuf, ByteBuffer& recvbuf, int count,
+                   const Datatype& type, const Op& op) const {
+  enter("scan");
+  basic_only(type, "scan");
+  const std::size_t bytes = span_bytes(count, type, "scan");
   const std::byte* sp = buffer_address(sendbuf, bytes, "scan");
   std::byte* rp = buffer_address(recvbuf, bytes, "scan");
   native_.scan(sp, rp, static_cast<std::size_t>(count), type.kind(),
                op.native());
 }
 
-void Comm::gather(const ByteBuffer& sendbuf, int count, const Datatype& type,
-                  ByteBuffer& recvbuf, int root) const {
-  JHPC_REQUIRE(valid(), "gather on invalid communicator");
+template <VendorPolicy P>
+void Comm<P>::gather(const ByteBuffer& sendbuf, int count,
+                     const Datatype& type, ByteBuffer& recvbuf,
+                     int root) const {
+  enter("gather");
   const std::size_t span = span_bytes(count, type, "gather");
-  env_->jvm_->jni().crossing();
   const std::byte* sp = buffer_address(sendbuf, span, "gather");
-  std::byte* rp =
-      getRank() == root
-          ? buffer_address(recvbuf,
-                           span * static_cast<std::size_t>(getSize()),
-                           "gather")
-          : nullptr;
-  if (type.isBasic()) {
-    native_.gather(sp, payload_bytes(count, type), rp, root);
-  } else {
-    native_.gather(sp, count, type.native(), rp, root);
-  }
+  std::byte* rp = getRank() == root
+                      ? buffer_address(recvbuf,
+                                       span * static_cast<std::size_t>(getSize()),
+                                       "gather")
+                      : nullptr;
+  with_bytes(count, type,
+             [&](auto&&... n) { native_.gather(sp, n..., rp, root); });
 }
 
-void Comm::scatter(const ByteBuffer& sendbuf, int count,
-                   const Datatype& type, ByteBuffer& recvbuf,
-                   int root) const {
-  JHPC_REQUIRE(valid(), "scatter on invalid communicator");
+template <VendorPolicy P>
+void Comm<P>::scatter(const ByteBuffer& sendbuf, int count,
+                      const Datatype& type, ByteBuffer& recvbuf,
+                      int root) const {
+  enter("scatter");
   const std::size_t span = span_bytes(count, type, "scatter");
-  env_->jvm_->jni().crossing();
   const std::byte* sp =
       getRank() == root
-          ? buffer_address(sendbuf,
-                           span * static_cast<std::size_t>(getSize()),
+          ? buffer_address(sendbuf, span * static_cast<std::size_t>(getSize()),
                            "scatter")
           : nullptr;
   std::byte* rp = buffer_address(recvbuf, span, "scatter");
-  if (type.isBasic()) {
-    native_.scatter(sp, payload_bytes(count, type), rp, root);
-  } else {
-    native_.scatter(sp, count, type.native(), rp, root);
-  }
+  with_bytes(count, type,
+             [&](auto&&... n) { native_.scatter(sp, n..., rp, root); });
 }
 
-void Comm::allGather(const ByteBuffer& sendbuf, int count,
-                     const Datatype& type, ByteBuffer& recvbuf) const {
-  JHPC_REQUIRE(valid(), "allGather on invalid communicator");
+template <VendorPolicy P>
+void Comm<P>::allGather(const ByteBuffer& sendbuf, int count,
+                        const Datatype& type, ByteBuffer& recvbuf) const {
+  enter("allGather");
   const std::size_t span = span_bytes(count, type, "allGather");
-  env_->jvm_->jni().crossing();
   const std::byte* sp = buffer_address(sendbuf, span, "allGather");
   std::byte* rp = buffer_address(
       recvbuf, span * static_cast<std::size_t>(getSize()), "allGather");
-  if (type.isBasic()) {
-    native_.allgather(sp, payload_bytes(count, type), rp);
-  } else {
-    native_.allgather(sp, count, type.native(), rp);
-  }
+  with_bytes(count, type,
+             [&](auto&&... n) { native_.allgather(sp, n..., rp); });
 }
 
-void Comm::allToAll(const ByteBuffer& sendbuf, int count,
-                    const Datatype& type, ByteBuffer& recvbuf) const {
-  JHPC_REQUIRE(valid(), "allToAll on invalid communicator");
-  const std::size_t span = span_bytes(count, type, "allToAll");
-  const auto total = span * static_cast<std::size_t>(getSize());
-  env_->jvm_->jni().crossing();
+template <VendorPolicy P>
+void Comm<P>::allToAll(const ByteBuffer& sendbuf, int count,
+                       const Datatype& type, ByteBuffer& recvbuf) const {
+  enter("allToAll");
+  const std::size_t total = span_bytes(count, type, "allToAll") *
+                            static_cast<std::size_t>(getSize());
   const std::byte* sp = buffer_address(sendbuf, total, "allToAll");
   std::byte* rp = buffer_address(recvbuf, total, "allToAll");
-  if (type.isBasic()) {
-    native_.alltoall(sp, payload_bytes(count, type), rp);
-  } else {
-    native_.alltoall(sp, count, type.native(), rp);
-  }
+  with_bytes(count, type,
+             [&](auto&&... n) { native_.alltoall(sp, n..., rp); });
 }
 
 // --- Nonblocking collectives: ByteBuffer ----------------------------------------
 
-Request Comm::iBarrier() const {
-  JHPC_REQUIRE(valid(), "iBarrier on invalid communicator");
-  env_->jvm_->jni().crossing();
-  return Request(native_.ibarrier(), nullptr);
+template <VendorPolicy P>
+Request Comm<P>::iBarrier() const {
+  enter("iBarrier");
+  return no_staging(native_.ibarrier());
 }
 
-Request Comm::iBcast(ByteBuffer& buf, int count, const Datatype& type,
-                     int root) const {
-  JHPC_REQUIRE(valid(), "iBcast on invalid communicator");
-  const std::size_t span = span_bytes(count, type, "iBcast");
-  env_->jvm_->jni().crossing();
-  std::byte* p = buffer_address(buf, span, "iBcast");
-  if (type.isBasic()) {
-    return Request(native_.ibcast(p, payload_bytes(count, type), root),
-                   nullptr);
-  }
-  return Request(native_.ibcast(p, count, type.native(), root), nullptr);
+template <VendorPolicy P>
+Request Comm<P>::iBcast(ByteBuffer& buf, int count, const Datatype& type,
+                        int root) const {
+  enter("iBcast");
+  std::byte* p = buffer_address(buf, span_bytes(count, type, "iBcast"),
+                                "iBcast");
+  return no_staging(with_bytes(
+      count, type, [&](auto&&... n) { return native_.ibcast(p, n..., root); }));
 }
 
-Request Comm::iReduce(const ByteBuffer& sendbuf, ByteBuffer& recvbuf,
-                      int count, const Datatype& type, const Op& op,
-                      int root) const {
-  JHPC_REQUIRE(valid(), "iReduce on invalid communicator");
+template <VendorPolicy P>
+Request Comm<P>::iReduce(const ByteBuffer& sendbuf, ByteBuffer& recvbuf,
+                         int count, const Datatype& type, const Op& op,
+                         int root) const {
+  enter("iReduce");
   const std::size_t span = span_bytes(count, type, "iReduce");
-  env_->jvm_->jni().crossing();
   const std::byte* sp = buffer_address(sendbuf, span, "iReduce");
   // Non-root ranks may pass any recv buffer; only the root's is written.
-  std::byte* rp = getRank() == root
-                      ? buffer_address(recvbuf, span, "iReduce")
-                      : buffer_address(recvbuf, 0, "iReduce");
-  if (type.isBasic()) {
-    return Request(native_.ireduce(sp, rp, static_cast<std::size_t>(count),
-                                   type.kind(), op.native(), root),
-                   nullptr);
-  }
-  return Request(
-      native_.ireduce(sp, rp, count, type.native(), op.native(), root),
-      nullptr);
+  std::byte* rp =
+      buffer_address(recvbuf, getRank() == root ? span : 0, "iReduce");
+  return no_staging(with_elems(count, type, [&](auto&&... n) {
+    return native_.ireduce(sp, rp, n..., op.native(), root);
+  }));
 }
 
-Request Comm::iAllReduce(const ByteBuffer& sendbuf, ByteBuffer& recvbuf,
-                         int count, const Datatype& type,
-                         const Op& op) const {
-  JHPC_REQUIRE(valid(), "iAllReduce on invalid communicator");
+template <VendorPolicy P>
+Request Comm<P>::iAllReduce(const ByteBuffer& sendbuf, ByteBuffer& recvbuf,
+                            int count, const Datatype& type,
+                            const Op& op) const {
+  enter("iAllReduce");
   const std::size_t span = span_bytes(count, type, "iAllReduce");
-  env_->jvm_->jni().crossing();
   const std::byte* sp = buffer_address(sendbuf, span, "iAllReduce");
   std::byte* rp = buffer_address(recvbuf, span, "iAllReduce");
-  if (type.isBasic()) {
-    return Request(native_.iallreduce(sp, rp, static_cast<std::size_t>(count),
-                                      type.kind(), op.native()),
-                   nullptr);
-  }
-  return Request(
-      native_.iallreduce(sp, rp, count, type.native(), op.native()), nullptr);
+  return no_staging(with_elems(count, type, [&](auto&&... n) {
+    return native_.iallreduce(sp, rp, n..., op.native());
+  }));
 }
 
-Request Comm::iGather(const ByteBuffer& sendbuf, int count,
-                      const Datatype& type, ByteBuffer& recvbuf,
-                      int root) const {
-  JHPC_REQUIRE(valid(), "iGather on invalid communicator");
+template <VendorPolicy P>
+Request Comm<P>::iGather(const ByteBuffer& sendbuf, int count,
+                         const Datatype& type, ByteBuffer& recvbuf,
+                         int root) const {
+  enter("iGather");
   const std::size_t span = span_bytes(count, type, "iGather");
-  env_->jvm_->jni().crossing();
   const std::byte* sp = buffer_address(sendbuf, span, "iGather");
-  std::byte* rp =
-      getRank() == root
-          ? buffer_address(recvbuf,
-                           span * static_cast<std::size_t>(getSize()),
-                           "iGather")
-          : buffer_address(recvbuf, 0, "iGather");
-  if (type.isBasic()) {
-    return Request(native_.igather(sp, payload_bytes(count, type), rp, root),
-                   nullptr);
-  }
-  return Request(native_.igather(sp, count, type.native(), rp, root),
-                 nullptr);
+  std::byte* rp = buffer_address(
+      recvbuf,
+      getRank() == root ? span * static_cast<std::size_t>(getSize()) : 0,
+      "iGather");
+  return no_staging(with_bytes(count, type, [&](auto&&... n) {
+    return native_.igather(sp, n..., rp, root);
+  }));
 }
 
-Request Comm::iScatter(const ByteBuffer& sendbuf, int count,
-                       const Datatype& type, ByteBuffer& recvbuf,
-                       int root) const {
-  JHPC_REQUIRE(valid(), "iScatter on invalid communicator");
+template <VendorPolicy P>
+Request Comm<P>::iScatter(const ByteBuffer& sendbuf, int count,
+                          const Datatype& type, ByteBuffer& recvbuf,
+                          int root) const {
+  enter("iScatter");
   const std::size_t span = span_bytes(count, type, "iScatter");
-  env_->jvm_->jni().crossing();
-  const std::byte* sp =
-      getRank() == root
-          ? buffer_address(sendbuf,
-                           span * static_cast<std::size_t>(getSize()),
-                           "iScatter")
-          : buffer_address(sendbuf, 0, "iScatter");
+  const std::byte* sp = buffer_address(
+      sendbuf,
+      getRank() == root ? span * static_cast<std::size_t>(getSize()) : 0,
+      "iScatter");
   std::byte* rp = buffer_address(recvbuf, span, "iScatter");
-  if (type.isBasic()) {
-    return Request(native_.iscatter(sp, payload_bytes(count, type), rp, root),
-                   nullptr);
-  }
-  return Request(native_.iscatter(sp, count, type.native(), rp, root),
-                 nullptr);
+  return no_staging(with_bytes(count, type, [&](auto&&... n) {
+    return native_.iscatter(sp, n..., rp, root);
+  }));
 }
 
-Request Comm::iAllGather(const ByteBuffer& sendbuf, int count,
-                         const Datatype& type, ByteBuffer& recvbuf) const {
-  JHPC_REQUIRE(valid(), "iAllGather on invalid communicator");
+template <VendorPolicy P>
+Request Comm<P>::iAllGather(const ByteBuffer& sendbuf, int count,
+                            const Datatype& type, ByteBuffer& recvbuf) const {
+  enter("iAllGather");
   const std::size_t span = span_bytes(count, type, "iAllGather");
-  env_->jvm_->jni().crossing();
   const std::byte* sp = buffer_address(sendbuf, span, "iAllGather");
   std::byte* rp = buffer_address(
       recvbuf, span * static_cast<std::size_t>(getSize()), "iAllGather");
-  if (type.isBasic()) {
-    return Request(native_.iallgather(sp, payload_bytes(count, type), rp),
-                   nullptr);
-  }
-  return Request(native_.iallgather(sp, count, type.native(), rp), nullptr);
+  return no_staging(with_bytes(count, type, [&](auto&&... n) {
+    return native_.iallgather(sp, n..., rp);
+  }));
 }
 
-Request Comm::iAllToAll(const ByteBuffer& sendbuf, int count,
-                        const Datatype& type, ByteBuffer& recvbuf) const {
-  JHPC_REQUIRE(valid(), "iAllToAll on invalid communicator");
-  const std::size_t span = span_bytes(count, type, "iAllToAll");
-  const auto total = span * static_cast<std::size_t>(getSize());
-  env_->jvm_->jni().crossing();
+template <VendorPolicy P>
+Request Comm<P>::iAllToAll(const ByteBuffer& sendbuf, int count,
+                           const Datatype& type, ByteBuffer& recvbuf) const {
+  enter("iAllToAll");
+  const std::size_t total = span_bytes(count, type, "iAllToAll") *
+                            static_cast<std::size_t>(getSize());
   const std::byte* sp = buffer_address(sendbuf, total, "iAllToAll");
   std::byte* rp = buffer_address(recvbuf, total, "iAllToAll");
-  if (type.isBasic()) {
-    return Request(native_.ialltoall(sp, payload_bytes(count, type), rp),
-                   nullptr);
-  }
-  return Request(native_.ialltoall(sp, count, type.native(), rp), nullptr);
+  return no_staging(with_bytes(count, type, [&](auto&&... n) {
+    return native_.ialltoall(sp, n..., rp);
+  }));
 }
 
 // --- Vectored collectives: ByteBuffer -------------------------------------------
 
-namespace {
-// Convert element counts/displacements to byte vectors.
-void to_bytes(std::span<const int> in, std::size_t el,
-              std::vector<std::size_t>* out) {
-  out->clear();
-  out->reserve(in.size());
-  for (int v : in) {
-    JHPC_REQUIRE(v >= 0, "negative count/displacement");
-    out->push_back(static_cast<std::size_t>(v) * el);
-  }
-}
-}  // namespace
-
-void Comm::gatherv(const ByteBuffer& sendbuf, int sendcount,
-                   const Datatype& type, ByteBuffer& recvbuf,
-                   std::span<const int> recvcounts,
-                   std::span<const int> displs, int root) const {
-  JHPC_REQUIRE(valid(), "gatherv on invalid communicator");
-  const std::size_t sbytes = basic_only(sendcount, type, "gatherv");
-  std::vector<std::size_t> counts, offs;
-  to_bytes(recvcounts, type.size(), &counts);
-  to_bytes(displs, type.size(), &offs);
-  env_->jvm_->jni().crossing();
-  const std::byte* sp = buffer_address(sendbuf, sbytes, "gatherv");
-  std::byte* rp = nullptr;
-  if (getRank() == root) {
-    std::size_t span_end = 0;
-    for (std::size_t i = 0; i < counts.size(); ++i)
-      span_end = std::max(span_end, offs[i] + counts[i]);
-    rp = buffer_address(recvbuf, span_end, "gatherv");
-  }
-  native_.gatherv(sp, sbytes, rp, counts, offs, root);
-}
-
-void Comm::scatterv(const ByteBuffer& sendbuf,
-                    std::span<const int> sendcounts,
-                    std::span<const int> displs, const Datatype& type,
-                    ByteBuffer& recvbuf, int recvcount, int root) const {
-  JHPC_REQUIRE(valid(), "scatterv on invalid communicator");
-  const std::size_t rbytes = basic_only(recvcount, type, "scatterv");
-  std::vector<std::size_t> counts, offs;
-  to_bytes(sendcounts, type.size(), &counts);
-  to_bytes(displs, type.size(), &offs);
-  env_->jvm_->jni().crossing();
-  const std::byte* sp = nullptr;
-  if (getRank() == root) {
-    std::size_t span_end = 0;
-    for (std::size_t i = 0; i < counts.size(); ++i)
-      span_end = std::max(span_end, offs[i] + counts[i]);
-    sp = buffer_address(sendbuf, span_end, "scatterv");
-  }
-  std::byte* rp = buffer_address(recvbuf, rbytes, "scatterv");
-  native_.scatterv(sp, counts, offs, rp, rbytes, root);
-}
-
-void Comm::allGatherv(const ByteBuffer& sendbuf, int sendcount,
+template <VendorPolicy P>
+void Comm<P>::gatherv(const ByteBuffer& sendbuf, int sendcount,
                       const Datatype& type, ByteBuffer& recvbuf,
                       std::span<const int> recvcounts,
-                      std::span<const int> displs) const {
-  JHPC_REQUIRE(valid(), "allGatherv on invalid communicator");
-  const std::size_t sbytes = basic_only(sendcount, type, "allGatherv");
-  std::vector<std::size_t> counts, offs;
-  to_bytes(recvcounts, type.size(), &counts);
-  to_bytes(displs, type.size(), &offs);
-  std::size_t span_end = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i)
-    span_end = std::max(span_end, offs[i] + counts[i]);
-  env_->jvm_->jni().crossing();
-  const std::byte* sp = buffer_address(sendbuf, sbytes, "allGatherv");
-  std::byte* rp = buffer_address(recvbuf, span_end, "allGatherv");
-  native_.allgatherv(sp, sbytes, rp, counts, offs);
+                      std::span<const int> displs, int root) const {
+  enter("gatherv");
+  basic_only(type, "gatherv");
+  const std::size_t sbytes = count_of(sendcount, "gatherv") * type.size();
+  const bool is_root = getRank() == root;
+  const Layout recv = is_root ? Layout(recvcounts, displs, type.size(),
+                                       getSize(), "gatherv")
+                              : Layout();
+  const std::byte* sp = buffer_address(sendbuf, sbytes, "gatherv");
+  std::byte* rp =
+      is_root ? buffer_address(recvbuf, recv.end, "gatherv") : nullptr;
+  native_.gatherv(sp, sbytes, rp, recv.counts, recv.displs, root);
 }
 
-void Comm::allToAllv(const ByteBuffer& sendbuf,
-                     std::span<const int> sendcounts,
-                     std::span<const int> sdispls, const Datatype& type,
-                     ByteBuffer& recvbuf, std::span<const int> recvcounts,
-                     std::span<const int> rdispls) const {
-  JHPC_REQUIRE(valid(), "allToAllv on invalid communicator");
-  (void)basic_only(0, type, "allToAllv");
-  std::vector<std::size_t> sc, so, rc, ro;
-  to_bytes(sendcounts, type.size(), &sc);
-  to_bytes(sdispls, type.size(), &so);
-  to_bytes(recvcounts, type.size(), &rc);
-  to_bytes(rdispls, type.size(), &ro);
-  std::size_t s_end = 0, r_end = 0;
-  for (std::size_t i = 0; i < sc.size(); ++i)
-    s_end = std::max(s_end, so[i] + sc[i]);
-  for (std::size_t i = 0; i < rc.size(); ++i)
-    r_end = std::max(r_end, ro[i] + rc[i]);
-  env_->jvm_->jni().crossing();
-  const std::byte* sp = buffer_address(sendbuf, s_end, "allToAllv");
-  std::byte* rp = buffer_address(recvbuf, r_end, "allToAllv");
-  native_.alltoallv(sp, sc, so, rp, rc, ro);
+template <VendorPolicy P>
+void Comm<P>::scatterv(const ByteBuffer& sendbuf,
+                       std::span<const int> sendcounts,
+                       std::span<const int> displs, const Datatype& type,
+                       ByteBuffer& recvbuf, int recvcount, int root) const {
+  enter("scatterv");
+  basic_only(type, "scatterv");
+  const std::size_t rbytes = count_of(recvcount, "scatterv") * type.size();
+  const bool is_root = getRank() == root;
+  const Layout send = is_root ? Layout(sendcounts, displs, type.size(),
+                                       getSize(), "scatterv")
+                              : Layout();
+  const std::byte* sp =
+      is_root ? buffer_address(sendbuf, send.end, "scatterv") : nullptr;
+  std::byte* rp = buffer_address(recvbuf, rbytes, "scatterv");
+  native_.scatterv(sp, send.counts, send.displs, rp, rbytes, root);
+}
+
+template <VendorPolicy P>
+void Comm<P>::allGatherv(const ByteBuffer& sendbuf, int sendcount,
+                         const Datatype& type, ByteBuffer& recvbuf,
+                         std::span<const int> recvcounts,
+                         std::span<const int> displs) const {
+  enter("allGatherv");
+  basic_only(type, "allGatherv");
+  const std::size_t sbytes = count_of(sendcount, "allGatherv") * type.size();
+  const Layout recv(recvcounts, displs, type.size(), getSize(), "allGatherv");
+  const std::byte* sp = buffer_address(sendbuf, sbytes, "allGatherv");
+  std::byte* rp = buffer_address(recvbuf, recv.end, "allGatherv");
+  native_.allgatherv(sp, sbytes, rp, recv.counts, recv.displs);
+}
+
+template <VendorPolicy P>
+void Comm<P>::allToAllv(const ByteBuffer& sendbuf,
+                        std::span<const int> sendcounts,
+                        std::span<const int> sdispls, const Datatype& type,
+                        ByteBuffer& recvbuf, std::span<const int> recvcounts,
+                        std::span<const int> rdispls) const {
+  enter("allToAllv");
+  basic_only(type, "allToAllv");
+  const Layout send(sendcounts, sdispls, type.size(), getSize(), "allToAllv");
+  const Layout recv(recvcounts, rdispls, type.size(), getSize(), "allToAllv");
+  const std::byte* sp = buffer_address(sendbuf, send.end, "allToAllv");
+  std::byte* rp = buffer_address(recvbuf, recv.end, "allToAllv");
+  native_.alltoallv(sp, send.counts, send.displs, rp, recv.counts,
+                    recv.displs);
+}
+
+// --- One-sided window construction ----------------------------------------------
+
+template <VendorPolicy P>
+Win<P> Comm<P>::winCreate(ByteBuffer& buf, std::size_t bytes) const {
+  enter("winCreate");
+  std::byte* base = buffer_address(buf, bytes, "winCreate");
+  return Win<P>(*this, native_.win_create(base, bytes));
+}
+
+template <VendorPolicy P>
+Win<P> Comm<P>::winAllocate(std::size_t bytes) const {
+  enter("winAllocate");
+  return Win<P>(*this, native_.win_allocate(bytes));
 }
 
 // --- Communicator management ------------------------------------------------------
 
-Comm Comm::dup() const {
-  JHPC_REQUIRE(valid(), "dup on invalid communicator");
-  env_->jvm_->jni().crossing();
+template <VendorPolicy P>
+Comm<P> Comm<P>::dup() const {
+  enter("dup");
   return Comm(env_, native_.dup());
 }
 
-Comm Comm::split(int color, int key) const {
-  JHPC_REQUIRE(valid(), "split on invalid communicator");
-  env_->jvm_->jni().crossing();
+template <VendorPolicy P>
+Comm<P> Comm<P>::split(int color, int key) const {
+  enter("split");
   minimpi::Comm sub = native_.split(color, key);
   if (!sub.valid()) return Comm{};
   return Comm(env_, sub);
@@ -549,38 +499,43 @@ Comm Comm::split(int color, int key) const {
 
 // --- Fault tolerance (ULFM) --------------------------------------------------
 
-void Comm::setErrhandler(Errhandler eh) const {
-  JHPC_REQUIRE(valid(), "setErrhandler on invalid communicator");
-  env_->jvm_->jni().crossing();
+template <VendorPolicy P>
+void Comm<P>::setErrhandler(Errhandler eh) const {
+  enter("setErrhandler");
   native_.set_errhandler(eh);
 }
 
-Errhandler Comm::getErrhandler() const {
+template <VendorPolicy P>
+Errhandler Comm<P>::getErrhandler() const {
   JHPC_REQUIRE(valid(), "getErrhandler on invalid communicator");
   return native_.errhandler();
 }
 
-void Comm::revoke() const {
-  JHPC_REQUIRE(valid(), "revoke on invalid communicator");
-  env_->jvm_->jni().crossing();
+template <VendorPolicy P>
+void Comm<P>::revoke() const {
+  enter("revoke");
   native_.revoke();
 }
 
-Comm Comm::shrink() const {
-  JHPC_REQUIRE(valid(), "shrink on invalid communicator");
-  env_->jvm_->jni().crossing();
+template <VendorPolicy P>
+Comm<P> Comm<P>::shrink() const {
+  enter("shrink");
   return Comm(env_, native_.shrink());
 }
 
-int Comm::agree(int flag) const {
-  JHPC_REQUIRE(valid(), "agree on invalid communicator");
-  env_->jvm_->jni().crossing();
+template <VendorPolicy P>
+int Comm<P>::agree(int flag) const {
+  enter("agree");
   return native_.agree(flag);
 }
 
-std::vector<int> Comm::getFailedRanks() const {
+template <VendorPolicy P>
+std::vector<int> Comm<P>::getFailedRanks() const {
   JHPC_REQUIRE(valid(), "getFailedRanks on invalid communicator");
   return native_.failed_ranks();
 }
 
-}  // namespace jhpc::mv2j
+template class Comm<kMv2j>;
+template class Comm<kOmpij>;
+
+}  // namespace jhpc::bindings

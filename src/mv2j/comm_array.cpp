@@ -1,564 +1,507 @@
-// Java-array paths of the MVAPICH2-J bindings: the paper's Figure 3
-// pipeline, built on the mpjbuf buffering layer.
+// Java-array paths of the binding core. Every call follows one pipeline:
+// check the arguments, one JNI crossing, stage each array operand in
+// native memory, the native call on the staged pointers, and land what
+// the native side wrote back in the receiving array. Only the staging
+// step depends on the vendor (VendorPolicy::staging):
 //
-//   1. acquire a pooled direct staging buffer,
-//   2. bulk-copy the Java array onto it (mpjbuf write),
-//   3. one JNI crossing with the staging buffer reference,
-//   4. native MPI call on the staging buffer's stable pointer,
-//   (receive side mirrors with mpjbuf read).
-//
-// Because the staging buffer can outlive the call inside a Request, the
-// same pipeline supports non-blocking operations — the capability the
-// Open MPI Java bindings lack for arrays.
+//   kPooled  — the paper's Figure 3, built on the mpjbuf buffering layer:
+//              a pooled direct buffer, bulk-copied for a send, read back
+//              after a receive. Because the staging buffer can outlive
+//              the call inside a Request, the same pipeline supports
+//              non-blocking operations, derived datatypes and offsets.
+//   kPerCall — what the Open MPI Java bindings do on every call: a
+//              message-sized native copy through Get<Type>ArrayRegion
+//              (always, even for a pure receive) and Set<Type>ArrayRegion
+//              back. Non-blocking array operations are refused.
 #include <memory>
+#include <type_traits>
+#include <vector>
 
+#include "detail.hpp"
 #include "jhpc/minijvm/jni.hpp"
 #include "jhpc/mv2j/comm.hpp"
 #include "jhpc/mv2j/env.hpp"
-#include "jhpc/support/error.hpp"
 
-namespace jhpc::mv2j {
+namespace jhpc::bindings {
 
 namespace {
 
-/// Validate an (offset, count, type) triple against a backing array.
-/// Works for basic and derived datatypes: the span check uses the type's
-/// extent (slightly conservative for trailing strided gaps).
-template <minijvm::JavaPrimitive T>
-void check_args(const JArray<T>& buf, std::size_t offset, int count,
-                const Datatype& type, const char* what) {
-  JHPC_REQUIRE(count >= 0, std::string(what) + ": negative count");
+using detail::basic_only;
+using detail::count_of;
+using detail::Layout;
+using mv2j::kind_of;
+
+/// How an array operand is used by one native call.
+enum class Use {
+  kIn,       ///< read by the native side (send buffers)
+  kOut,      ///< written by the native side (receive buffers)
+  kScratch,  ///< native memory the array never sees (non-root reduce)
+  kNone,     ///< not significant on this rank: no staging, null pointer
+};
+
+/// The native staging of one array operand for one call: `count`
+/// elements of `type` from element `offset` of the array.
+template <VendorPolicy P, JavaPrimitive T>
+class Stage {
+ public:
+  Stage(Env<P>& env, const JArray<T>& array, std::size_t offset,
+        std::size_t count, const Datatype& type, Use use)
+      : jni_(env.jvm().jni()), offset_(offset), use_(use) {
+    if (use == Use::kNone) return;
+    const std::size_t bytes = count * type.size();
+    if constexpr (kPooled<P>) {
+      staged_ = env.pool().get(bytes);
+      if (use != Use::kIn) return;
+      if (type.isBasic()) {
+        staged_.write(array, offset, count);
+      } else {
+        // Derived types are packed element by element: the gather the
+        // buffering layer exists for.
+        type.native().pack(array.raw_address() + offset * sizeof(T),
+                           staged_.reserve(bytes), static_cast<int>(count));
+      }
+      staged_.commit();
+    } else {
+      staged_.resize(bytes / sizeof(T));
+      // Copied in unconditionally: the binding cannot know whether the
+      // native routine reads the buffer.
+      if (use != Use::kScratch)
+        jni_.get_array_region(array, offset, staged_.size(), staged_.data());
+    }
+  }
+
+  void* data() {
+    if (use_ == Use::kNone) return nullptr;
+    if constexpr (kPooled<P>) {
+      return staged_.native_address();
+    } else {
+      return staged_.data();
+    }
+  }
+
+  /// After the native call: land the `bytes` it wrote in `array` (kOut
+  /// only). Per-call staging copies the whole region back.
+  void finish(JArray<T>& array, std::size_t bytes, const Datatype& type) {
+    if (use_ != Use::kOut) return;
+    if constexpr (kPooled<P>) {
+      staged_.notify_native_write(bytes);
+      if (type.isBasic()) {
+        staged_.read(array, offset_, bytes / sizeof(T));
+      } else {
+        type.native().unpack(staged_.consume(bytes),
+                             array.raw_address() + offset_ * sizeof(T),
+                             static_cast<int>(bytes / type.size()));
+      }
+    } else {
+      jni_.set_array_region(array, offset_, staged_.size(), staged_.data());
+    }
+  }
+
+ private:
+  minijvm::JniEnv& jni_;
+  std::size_t offset_;
+  Use use_;
+  /// A pooled direct buffer, or the per-call native copy.
+  std::conditional_t<kPooled<P>, mpjbuf::Buffer, std::vector<T>> staged_;
+};
+
+/// Validate `count` elements of `type` at element `offset` of `buf`. The
+/// span check uses the type's extent (slightly conservative for trailing
+/// strided gaps).
+template <JavaPrimitive T>
+void check_array(const JArray<T>& buf, std::size_t offset, std::size_t count,
+                 const Datatype& type, const char* what) {
   JHPC_REQUIRE(kind_of<T>() == type.leafKind(),
                std::string(what) + ": datatype does not match array type");
-  const std::size_t span_bytes =
-      offset * sizeof(T) + static_cast<std::size_t>(count) * type.extent();
-  JHPC_REQUIRE(span_bytes <= buf.length() * sizeof(T),
+  JHPC_REQUIRE(offset * sizeof(T) + count * type.extent() <=
+                   buf.length() * sizeof(T),
                std::string(what) + ": offset+count exceeds array length");
 }
 
-template <minijvm::JavaPrimitive T>
-void check_args(const JArray<T>& buf, int count, const Datatype& type,
-                const char* what) {
-  check_args(buf, 0, count, type, what);
-}
-
-/// Payload bytes carried by `count` elements of `type`.
-std::size_t payload_of(int count, const Datatype& type) {
-  return static_cast<std::size_t>(count) * type.size();
-}
-
-/// Copy `count` elements of `type` starting at element `offset` of `buf`
-/// onto the staging buffer (Figure 3 step 2). Basic types take the bulk
-/// path; derived types are packed element by element (the gather the
-/// buffering layer exists for).
-template <minijvm::JavaPrimitive T>
-void stage_in(mpjbuf::Buffer& stage, const JArray<T>& buf,
-              std::size_t offset, int count, const Datatype& type) {
-  if (type.isBasic()) {
-    stage.write(buf, offset, static_cast<std::size_t>(count));
-  } else {
-    type.native().pack(buf.raw_address() + offset * sizeof(T),
-                       stage.reserve(payload_of(count, type)), count);
+/// A point-to-point operand. Derived datatypes need pooled staging; the
+/// per-call baseline only accepts the array's own basic type.
+template <VendorPolicy P, JavaPrimitive T>
+void check_p2p(const JArray<T>& buf, int offset, int count,
+               const Datatype& type, const char* what) {
+  JHPC_REQUIRE(offset >= 0, std::string(what) + ": negative offset");
+  if constexpr (!kPooled<P>) {
+    JHPC_REQUIRE(type.isBasic(),
+                 std::string(what) + ": datatype does not match array type");
   }
-  stage.commit();
+  check_array(buf, static_cast<std::size_t>(offset), count_of(count, what),
+              type, what);
 }
 
-/// Inverse of stage_in: scatter `bytes` of staged payload back into the
-/// array at element `offset`.
-template <minijvm::JavaPrimitive T>
-void stage_out(mpjbuf::Buffer& stage, JArray<T>& buf, std::size_t offset,
-               const Datatype& type, std::size_t bytes) {
-  stage.notify_native_write(bytes);
-  if (type.isBasic()) {
-    stage.read(buf, offset, bytes / sizeof(T));
-  } else {
-    const auto count = static_cast<int>(bytes / type.size());
-    type.native().unpack(stage.consume(bytes),
-                         buf.raw_address() + offset * sizeof(T), count);
-  }
+/// A collective operand: basic datatypes only (see detail::basic_only).
+template <JavaPrimitive T>
+void check_coll(const JArray<T>& buf, std::size_t count,
+                const Datatype& type, const char* what) {
+  basic_only(type, what);
+  check_array(buf, 0, count, type, what);
 }
+
+constexpr const char* kNoNonblockingArrays =
+    "Open MPI-J does not support Java arrays with non-blocking "
+    "point-to-point operations (use a direct ByteBuffer)";
 
 }  // namespace
 
 // --- Point-to-point ----------------------------------------------------------
 
+template <VendorPolicy P>
 template <JavaPrimitive T>
-void Comm::send(const JArray<T>& buf, int offset, int count,
-                const Datatype& type, int dest, int tag) const {
-  JHPC_REQUIRE(valid(), "send on invalid communicator");
-  JHPC_REQUIRE(offset >= 0, "send: negative offset");
-  check_args(buf, static_cast<std::size_t>(offset), count, type, "send");
-  const std::size_t bytes = payload_of(count, type);
-  mpjbuf::Buffer stage = env_->pool_->get(bytes);            // step 1
-  stage_in(stage, buf, static_cast<std::size_t>(offset), count, type);
-  env_->jvm_->jni().crossing();                              // step 3
-  native_.send(stage.native_address(), bytes, dest, tag);    // step 4
+void Comm<P>::send_at(const JArray<T>& buf, int offset, int count,
+                      const Datatype& type, int dest, int tag) const {
+  enter("send");
+  check_p2p<P>(buf, offset, count, type, "send");
+  Stage<P, T> s(*env_, buf, static_cast<std::size_t>(offset),
+                static_cast<std::size_t>(count), type, Use::kIn);
+  native_.send(s.data(), static_cast<std::size_t>(count) * type.size(), dest,
+               tag);
 }
 
+template <VendorPolicy P>
 template <JavaPrimitive T>
-void Comm::send(const JArray<T>& buf, int count, const Datatype& type,
-                int dest, int tag) const {
-  send(buf, 0, count, type, dest, tag);
-}
-
-template <JavaPrimitive T>
-Status Comm::recv(JArray<T>& buf, int offset, int count,
-                  const Datatype& type, int source, int tag) const {
-  JHPC_REQUIRE(valid(), "recv on invalid communicator");
-  JHPC_REQUIRE(offset >= 0, "recv: negative offset");
-  check_args(buf, static_cast<std::size_t>(offset), count, type, "recv");
-  const std::size_t bytes = payload_of(count, type);
-  mpjbuf::Buffer stage = env_->pool_->get(bytes);
-  env_->jvm_->jni().crossing();
+Status Comm<P>::recv_at(JArray<T>& buf, int offset, int count,
+                        const Datatype& type, int source, int tag) const {
+  enter("recv");
+  check_p2p<P>(buf, offset, count, type, "recv");
+  Stage<P, T> s(*env_, buf, static_cast<std::size_t>(offset),
+                static_cast<std::size_t>(count), type, Use::kOut);
   minimpi::Status st;
-  native_.recv(stage.native_address(), bytes, source, tag, &st);
-  stage_out(stage, buf, static_cast<std::size_t>(offset), type,
-            st.count_bytes);
+  native_.recv(s.data(), static_cast<std::size_t>(count) * type.size(),
+               source, tag, &st);
+  s.finish(buf, st.count_bytes, type);
   return Status(st);
 }
 
+template <VendorPolicy P>
 template <JavaPrimitive T>
-Status Comm::recv(JArray<T>& buf, int count, const Datatype& type,
-                  int source, int tag) const {
-  return recv(buf, 0, count, type, source, tag);
+Request Comm<P>::isend_at(const JArray<T>& buf, int offset, int count,
+                          const Datatype& type, int dest, int tag) const {
+  if constexpr (!kPooled<P>) {
+    throw UnsupportedOperationError(kNoNonblockingArrays);
+  } else {
+    enter("iSend");
+    check_p2p<P>(buf, offset, count, type, "iSend");
+    auto s = std::make_shared<Stage<P, T>>(
+        *env_, buf, static_cast<std::size_t>(offset),
+        static_cast<std::size_t>(count), type, Use::kIn);
+    minimpi::Request r = native_.isend(
+        s->data(), static_cast<std::size_t>(count) * type.size(), dest, tag);
+    auto completion = std::make_shared<Request::CompletionState>();
+    // Nothing to copy back; the completion merely keeps the staging
+    // buffer alive until the native send no longer needs it.
+    completion->on_complete = [s](const minimpi::Status&) {};
+    return Request(std::move(r), std::move(completion));
+  }
 }
 
+template <VendorPolicy P>
 template <JavaPrimitive T>
-Request Comm::iSend(const JArray<T>& buf, int offset, int count,
-                    const Datatype& type, int dest, int tag) const {
-  JHPC_REQUIRE(valid(), "iSend on invalid communicator");
-  JHPC_REQUIRE(offset >= 0, "iSend: negative offset");
-  check_args(buf, static_cast<std::size_t>(offset), count, type, "iSend");
-  const std::size_t bytes = payload_of(count, type);
-  auto stage = std::make_shared<mpjbuf::Buffer>(env_->pool_->get(bytes));
-  stage_in(*stage, buf, static_cast<std::size_t>(offset), count, type);
-  env_->jvm_->jni().crossing();
-  minimpi::Request r =
-      native_.isend(stage->native_address(), bytes, dest, tag);
-  auto completion = std::make_shared<Request::CompletionState>();
-  // Nothing to copy back; the completion merely keeps the staging buffer
-  // alive until the native send no longer needs it.
-  completion->on_complete = [stage](const minimpi::Status&) {};
-  return Request(std::move(r), std::move(completion));
-}
-
-template <JavaPrimitive T>
-Request Comm::iSend(const JArray<T>& buf, int count, const Datatype& type,
-                    int dest, int tag) const {
-  return iSend(buf, 0, count, type, dest, tag);
-}
-
-template <JavaPrimitive T>
-Request Comm::iRecv(JArray<T>& buf, int offset, int count,
-                    const Datatype& type, int source, int tag) const {
-  JHPC_REQUIRE(valid(), "iRecv on invalid communicator");
-  JHPC_REQUIRE(offset >= 0, "iRecv: negative offset");
-  check_args(buf, static_cast<std::size_t>(offset), count, type, "iRecv");
-  const std::size_t bytes = payload_of(count, type);
-  auto stage = std::make_shared<mpjbuf::Buffer>(env_->pool_->get(bytes));
-  env_->jvm_->jni().crossing();
-  minimpi::Request r =
-      native_.irecv(stage->native_address(), bytes, source, tag);
-  auto completion = std::make_shared<Request::CompletionState>();
-  JArray<T> target = buf;  // shared handle: keeps the array alive
-  const auto off = static_cast<std::size_t>(offset);
-  const Datatype dt = type;
-  completion->on_complete = [stage, target, off,
-                             dt](const minimpi::Status& st) mutable {
-    stage_out(*stage, target, off, dt, st.count_bytes);
-  };
-  return Request(std::move(r), std::move(completion));
-}
-
-template <JavaPrimitive T>
-Request Comm::iRecv(JArray<T>& buf, int count, const Datatype& type,
-                    int source, int tag) const {
-  return iRecv(buf, 0, count, type, source, tag);
+Request Comm<P>::irecv_at(JArray<T>& buf, int offset, int count,
+                          const Datatype& type, int source, int tag) const {
+  if constexpr (!kPooled<P>) {
+    throw UnsupportedOperationError(kNoNonblockingArrays);
+  } else {
+    enter("iRecv");
+    check_p2p<P>(buf, offset, count, type, "iRecv");
+    auto s = std::make_shared<Stage<P, T>>(
+        *env_, buf, static_cast<std::size_t>(offset),
+        static_cast<std::size_t>(count), type, Use::kOut);
+    minimpi::Request r = native_.irecv(
+        s->data(), static_cast<std::size_t>(count) * type.size(), source, tag);
+    auto completion = std::make_shared<Request::CompletionState>();
+    // The array handle is shared: it keeps the array alive until then.
+    completion->on_complete = [s, target = buf,
+                               type](const minimpi::Status& st) mutable {
+      s->finish(target, st.count_bytes, type);
+    };
+    return Request(std::move(r), std::move(completion));
+  }
 }
 
 // --- Blocking collectives -------------------------------------------------------
 
+template <VendorPolicy P>
 template <JavaPrimitive T>
-void Comm::bcast(JArray<T>& buf, int count, const Datatype& type,
-                 int root) const {
-  JHPC_REQUIRE(valid(), "bcast on invalid communicator");
-  check_args(buf, count, type, "bcast");
-  const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
-  mpjbuf::Buffer stage = env_->pool_->get(bytes);
-  if (getRank() == root) {
-    stage.write(buf, 0, static_cast<std::size_t>(count));
-    stage.commit();
-  }
-  env_->jvm_->jni().crossing();
-  native_.bcast(stage.native_address(), bytes, root);
-  if (getRank() != root) {
-    stage.notify_native_write(bytes);
-    stage.read(buf, 0, static_cast<std::size_t>(count));
-  }
+void Comm<P>::bcast(JArray<T>& buf, int count, const Datatype& type,
+                    int root) const {
+  enter("bcast");
+  const std::size_t n = count_of(count, "bcast");
+  check_coll(buf, n, type, "bcast");
+  Stage<P, T> s(*env_, buf, 0, n, type,
+                getRank() == root ? Use::kIn : Use::kOut);
+  native_.bcast(s.data(), n * sizeof(T), root);
+  s.finish(buf, n * sizeof(T), type);
 }
 
+template <VendorPolicy P>
 template <JavaPrimitive T>
-void Comm::reduce(const JArray<T>& sendbuf, JArray<T>& recvbuf, int count,
-                  const Datatype& type, const Op& op, int root) const {
-  JHPC_REQUIRE(valid(), "reduce on invalid communicator");
-  check_args(sendbuf, count, type, "reduce");
-  const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
-  mpjbuf::Buffer sstage = env_->pool_->get(bytes);
-  mpjbuf::Buffer rstage = env_->pool_->get(bytes);
-  sstage.write(sendbuf, 0, static_cast<std::size_t>(count));
-  sstage.commit();
-  env_->jvm_->jni().crossing();
-  native_.reduce(sstage.native_address(), rstage.native_address(),
-                 static_cast<std::size_t>(count), type.kind(), op.native(),
-                 root);
-  if (getRank() == root) {
-    check_args(recvbuf, count, type, "reduce(recv)");
-    rstage.notify_native_write(bytes);
-    rstage.read(recvbuf, 0, static_cast<std::size_t>(count));
-  }
+void Comm<P>::reduce(const JArray<T>& sendbuf, JArray<T>& recvbuf, int count,
+                     const Datatype& type, const Op& op, int root) const {
+  enter("reduce");
+  const std::size_t n = count_of(count, "reduce");
+  const bool is_root = getRank() == root;
+  check_coll(sendbuf, n, type, "reduce");
+  if (is_root) check_coll(recvbuf, n, type, "reduce(recv)");
+  Stage<P, T> s(*env_, sendbuf, 0, n, type, Use::kIn);
+  Stage<P, T> r(*env_, recvbuf, 0, n, type,
+                is_root ? Use::kOut : Use::kScratch);
+  native_.reduce(s.data(), r.data(), n, type.kind(), op.native(), root);
+  r.finish(recvbuf, n * sizeof(T), type);
 }
 
+template <VendorPolicy P>
 template <JavaPrimitive T>
-void Comm::allReduce(const JArray<T>& sendbuf, JArray<T>& recvbuf, int count,
-                     const Datatype& type, const Op& op) const {
-  JHPC_REQUIRE(valid(), "allReduce on invalid communicator");
-  check_args(sendbuf, count, type, "allReduce");
-  check_args(recvbuf, count, type, "allReduce(recv)");
-  const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
-  mpjbuf::Buffer sstage = env_->pool_->get(bytes);
-  mpjbuf::Buffer rstage = env_->pool_->get(bytes);
-  sstage.write(sendbuf, 0, static_cast<std::size_t>(count));
-  sstage.commit();
-  env_->jvm_->jni().crossing();
-  native_.allreduce(sstage.native_address(), rstage.native_address(),
-                    static_cast<std::size_t>(count), type.kind(),
-                    op.native());
-  rstage.notify_native_write(bytes);
-  rstage.read(recvbuf, 0, static_cast<std::size_t>(count));
+void Comm<P>::allReduce(const JArray<T>& sendbuf, JArray<T>& recvbuf,
+                        int count, const Datatype& type, const Op& op) const {
+  enter("allReduce");
+  const std::size_t n = count_of(count, "allReduce");
+  check_coll(sendbuf, n, type, "allReduce");
+  check_coll(recvbuf, n, type, "allReduce(recv)");
+  Stage<P, T> s(*env_, sendbuf, 0, n, type, Use::kIn);
+  Stage<P, T> r(*env_, recvbuf, 0, n, type, Use::kOut);
+  native_.allreduce(s.data(), r.data(), n, type.kind(), op.native());
+  r.finish(recvbuf, n * sizeof(T), type);
 }
 
+template <VendorPolicy P>
 template <JavaPrimitive T>
-void Comm::reduceScatterBlock(const JArray<T>& sendbuf, JArray<T>& recvbuf,
-                              int recvcount, const Datatype& type,
-                              const Op& op) const {
-  JHPC_REQUIRE(valid(), "reduceScatterBlock on invalid communicator");
-  check_args(recvbuf, recvcount, type, "reduceScatterBlock(recv)");
-  const std::size_t block = payload_of(recvcount, type);
-  const std::size_t total = block * static_cast<std::size_t>(getSize());
-  JHPC_REQUIRE(sendbuf.length() * sizeof(T) >= total,
-               "reduceScatterBlock: send array too small");
-  mpjbuf::Buffer sstage = env_->pool_->get(total);
-  mpjbuf::Buffer rstage = env_->pool_->get(block);
-  sstage.write(sendbuf, 0, total / sizeof(T));
-  sstage.commit();
-  env_->jvm_->jni().crossing();
-  native_.reduce_scatter_block(sstage.native_address(),
-                               rstage.native_address(),
-                               static_cast<std::size_t>(recvcount),
-                               type.kind(), op.native());
-  rstage.notify_native_write(block);
-  rstage.read(recvbuf, 0, static_cast<std::size_t>(recvcount));
+void Comm<P>::reduceScatterBlock(const JArray<T>& sendbuf, JArray<T>& recvbuf,
+                                 int recvcount, const Datatype& type,
+                                 const Op& op) const {
+  enter("reduceScatterBlock");
+  const std::size_t n = count_of(recvcount, "reduceScatterBlock");
+  const std::size_t total = n * static_cast<std::size_t>(getSize());
+  check_coll(recvbuf, n, type, "reduceScatterBlock(recv)");
+  check_coll(sendbuf, total, type, "reduceScatterBlock");
+  Stage<P, T> s(*env_, sendbuf, 0, total, type, Use::kIn);
+  Stage<P, T> r(*env_, recvbuf, 0, n, type, Use::kOut);
+  native_.reduce_scatter_block(s.data(), r.data(), n, type.kind(),
+                               op.native());
+  r.finish(recvbuf, n * sizeof(T), type);
 }
 
+template <VendorPolicy P>
 template <JavaPrimitive T>
-void Comm::scan(const JArray<T>& sendbuf, JArray<T>& recvbuf, int count,
-                const Datatype& type, const Op& op) const {
-  JHPC_REQUIRE(valid(), "scan on invalid communicator");
-  check_args(sendbuf, count, type, "scan");
-  check_args(recvbuf, count, type, "scan(recv)");
-  const std::size_t bytes = payload_of(count, type);
-  mpjbuf::Buffer sstage = env_->pool_->get(bytes);
-  mpjbuf::Buffer rstage = env_->pool_->get(bytes);
-  sstage.write(sendbuf, 0, static_cast<std::size_t>(count));
-  sstage.commit();
-  env_->jvm_->jni().crossing();
-  native_.scan(sstage.native_address(), rstage.native_address(),
-               static_cast<std::size_t>(count), type.kind(), op.native());
-  rstage.notify_native_write(bytes);
-  rstage.read(recvbuf, 0, static_cast<std::size_t>(count));
+void Comm<P>::scan(const JArray<T>& sendbuf, JArray<T>& recvbuf, int count,
+                   const Datatype& type, const Op& op) const {
+  enter("scan");
+  const std::size_t n = count_of(count, "scan");
+  check_coll(sendbuf, n, type, "scan");
+  check_coll(recvbuf, n, type, "scan(recv)");
+  Stage<P, T> s(*env_, sendbuf, 0, n, type, Use::kIn);
+  Stage<P, T> r(*env_, recvbuf, 0, n, type, Use::kOut);
+  native_.scan(s.data(), r.data(), n, type.kind(), op.native());
+  r.finish(recvbuf, n * sizeof(T), type);
 }
 
+template <VendorPolicy P>
 template <JavaPrimitive T>
-void Comm::gather(const JArray<T>& sendbuf, int count, const Datatype& type,
-                  JArray<T>& recvbuf, int root) const {
-  JHPC_REQUIRE(valid(), "gather on invalid communicator");
-  check_args(sendbuf, count, type, "gather");
-  const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
-  const std::size_t total = bytes * static_cast<std::size_t>(getSize());
-  mpjbuf::Buffer sstage = env_->pool_->get(bytes);
-  sstage.write(sendbuf, 0, static_cast<std::size_t>(count));
-  sstage.commit();
-  mpjbuf::Buffer rstage =
-      getRank() == root ? env_->pool_->get(total) : mpjbuf::Buffer{};
-  env_->jvm_->jni().crossing();
-  native_.gather(sstage.native_address(), bytes,
-                 getRank() == root ? rstage.native_address() : nullptr,
-                 root);
-  if (getRank() == root) {
-    JHPC_REQUIRE(recvbuf.length() >= total / sizeof(T),
-                 "gather: receive array too small");
-    rstage.notify_native_write(total);
-    rstage.read(recvbuf, 0, total / sizeof(T));
-  }
+void Comm<P>::gather(const JArray<T>& sendbuf, int count, const Datatype& type,
+                     JArray<T>& recvbuf, int root) const {
+  enter("gather");
+  const std::size_t n = count_of(count, "gather");
+  const std::size_t total = n * static_cast<std::size_t>(getSize());
+  const bool is_root = getRank() == root;
+  check_coll(sendbuf, n, type, "gather");
+  if (is_root) check_coll(recvbuf, total, type, "gather(recv)");
+  Stage<P, T> s(*env_, sendbuf, 0, n, type, Use::kIn);
+  Stage<P, T> r(*env_, recvbuf, 0, total, type,
+                is_root ? Use::kOut : Use::kNone);
+  native_.gather(s.data(), n * sizeof(T), r.data(), root);
+  r.finish(recvbuf, total * sizeof(T), type);
 }
 
+template <VendorPolicy P>
 template <JavaPrimitive T>
-void Comm::scatter(const JArray<T>& sendbuf, int count, const Datatype& type,
-                   JArray<T>& recvbuf, int root) const {
-  JHPC_REQUIRE(valid(), "scatter on invalid communicator");
-  check_args(recvbuf, count, type, "scatter(recv)");
-  const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
-  const std::size_t total = bytes * static_cast<std::size_t>(getSize());
-  mpjbuf::Buffer sstage =
-      getRank() == root ? env_->pool_->get(total) : mpjbuf::Buffer{};
-  if (getRank() == root) {
-    JHPC_REQUIRE(sendbuf.length() >= total / sizeof(T),
-                 "scatter: send array too small");
-    sstage.write(sendbuf, 0, total / sizeof(T));
-    sstage.commit();
-  }
-  mpjbuf::Buffer rstage = env_->pool_->get(bytes);
-  env_->jvm_->jni().crossing();
-  native_.scatter(getRank() == root ? sstage.native_address() : nullptr,
-                  bytes, rstage.native_address(), root);
-  rstage.notify_native_write(bytes);
-  rstage.read(recvbuf, 0, static_cast<std::size_t>(count));
+void Comm<P>::scatter(const JArray<T>& sendbuf, int count,
+                      const Datatype& type, JArray<T>& recvbuf,
+                      int root) const {
+  enter("scatter");
+  const std::size_t n = count_of(count, "scatter");
+  const std::size_t total = n * static_cast<std::size_t>(getSize());
+  const bool is_root = getRank() == root;
+  check_coll(recvbuf, n, type, "scatter(recv)");
+  if (is_root) check_coll(sendbuf, total, type, "scatter");
+  Stage<P, T> s(*env_, sendbuf, 0, total, type,
+                is_root ? Use::kIn : Use::kNone);
+  Stage<P, T> r(*env_, recvbuf, 0, n, type, Use::kOut);
+  native_.scatter(s.data(), n * sizeof(T), r.data(), root);
+  r.finish(recvbuf, n * sizeof(T), type);
 }
 
+template <VendorPolicy P>
 template <JavaPrimitive T>
-void Comm::allGather(const JArray<T>& sendbuf, int count,
-                     const Datatype& type, JArray<T>& recvbuf) const {
-  JHPC_REQUIRE(valid(), "allGather on invalid communicator");
-  check_args(sendbuf, count, type, "allGather");
-  const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
-  const std::size_t total = bytes * static_cast<std::size_t>(getSize());
-  JHPC_REQUIRE(recvbuf.length() >= total / sizeof(T),
-               "allGather: receive array too small");
-  mpjbuf::Buffer sstage = env_->pool_->get(bytes);
-  mpjbuf::Buffer rstage = env_->pool_->get(total);
-  sstage.write(sendbuf, 0, static_cast<std::size_t>(count));
-  sstage.commit();
-  env_->jvm_->jni().crossing();
-  native_.allgather(sstage.native_address(), bytes, rstage.native_address());
-  rstage.notify_native_write(total);
-  rstage.read(recvbuf, 0, total / sizeof(T));
+void Comm<P>::allGather(const JArray<T>& sendbuf, int count,
+                        const Datatype& type, JArray<T>& recvbuf) const {
+  enter("allGather");
+  const std::size_t n = count_of(count, "allGather");
+  const std::size_t total = n * static_cast<std::size_t>(getSize());
+  check_coll(sendbuf, n, type, "allGather");
+  check_coll(recvbuf, total, type, "allGather(recv)");
+  Stage<P, T> s(*env_, sendbuf, 0, n, type, Use::kIn);
+  Stage<P, T> r(*env_, recvbuf, 0, total, type, Use::kOut);
+  native_.allgather(s.data(), n * sizeof(T), r.data());
+  r.finish(recvbuf, total * sizeof(T), type);
 }
 
+template <VendorPolicy P>
 template <JavaPrimitive T>
-void Comm::allToAll(const JArray<T>& sendbuf, int count,
-                    const Datatype& type, JArray<T>& recvbuf) const {
-  JHPC_REQUIRE(valid(), "allToAll on invalid communicator");
-  const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
-  const std::size_t total = bytes * static_cast<std::size_t>(getSize());
-  JHPC_REQUIRE(sendbuf.length() >= total / sizeof(T),
-               "allToAll: send array too small");
-  JHPC_REQUIRE(recvbuf.length() >= total / sizeof(T),
-               "allToAll: receive array too small");
-  JHPC_REQUIRE(kind_of<T>() == type.kind(),
-               "allToAll: datatype does not match array type");
-  mpjbuf::Buffer sstage = env_->pool_->get(total);
-  mpjbuf::Buffer rstage = env_->pool_->get(total);
-  sstage.write(sendbuf, 0, total / sizeof(T));
-  sstage.commit();
-  env_->jvm_->jni().crossing();
-  native_.alltoall(sstage.native_address(), bytes, rstage.native_address());
-  rstage.notify_native_write(total);
-  rstage.read(recvbuf, 0, total / sizeof(T));
+void Comm<P>::allToAll(const JArray<T>& sendbuf, int count,
+                       const Datatype& type, JArray<T>& recvbuf) const {
+  enter("allToAll");
+  const std::size_t n = count_of(count, "allToAll");
+  const std::size_t total = n * static_cast<std::size_t>(getSize());
+  check_coll(sendbuf, total, type, "allToAll");
+  check_coll(recvbuf, total, type, "allToAll(recv)");
+  Stage<P, T> s(*env_, sendbuf, 0, total, type, Use::kIn);
+  Stage<P, T> r(*env_, recvbuf, 0, total, type, Use::kOut);
+  native_.alltoall(s.data(), n * sizeof(T), r.data());
+  r.finish(recvbuf, total * sizeof(T), type);
 }
 
 // --- Vectored collectives ----------------------------------------------------------
 
+template <VendorPolicy P>
 template <JavaPrimitive T>
-void Comm::gatherv(const JArray<T>& sendbuf, int sendcount,
-                   const Datatype& type, JArray<T>& recvbuf,
-                   std::span<const int> recvcounts,
-                   std::span<const int> displs, int root) const {
-  JHPC_REQUIRE(valid(), "gatherv on invalid communicator");
-  check_args(sendbuf, sendcount, type, "gatherv");
-  const std::size_t sbytes =
-      static_cast<std::size_t>(sendcount) * sizeof(T);
-  std::vector<std::size_t> counts, offs;
-  counts.reserve(recvcounts.size());
-  offs.reserve(displs.size());
-  std::size_t span_end = 0;
-  for (std::size_t i = 0; i < recvcounts.size(); ++i) {
-    counts.push_back(static_cast<std::size_t>(recvcounts[i]) * sizeof(T));
-    offs.push_back(static_cast<std::size_t>(displs[i]) * sizeof(T));
-    span_end = std::max(span_end, offs.back() + counts.back());
-  }
-  mpjbuf::Buffer sstage = env_->pool_->get(sbytes);
-  sstage.write(sendbuf, 0, static_cast<std::size_t>(sendcount));
-  sstage.commit();
-  mpjbuf::Buffer rstage =
-      getRank() == root ? env_->pool_->get(span_end) : mpjbuf::Buffer{};
-  env_->jvm_->jni().crossing();
-  native_.gatherv(sstage.native_address(), sbytes,
-                  getRank() == root ? rstage.native_address() : nullptr,
-                  counts, offs, root);
-  if (getRank() == root) {
-    JHPC_REQUIRE(recvbuf.length() * sizeof(T) >= span_end,
-                 "gatherv: receive array too small");
-    rstage.notify_native_write(span_end);
-    rstage.read(recvbuf, 0, span_end / sizeof(T));
-  }
-}
-
-template <JavaPrimitive T>
-void Comm::scatterv(const JArray<T>& sendbuf,
-                    std::span<const int> sendcounts,
-                    std::span<const int> displs, const Datatype& type,
-                    JArray<T>& recvbuf, int recvcount, int root) const {
-  JHPC_REQUIRE(valid(), "scatterv on invalid communicator");
-  check_args(recvbuf, recvcount, type, "scatterv(recv)");
-  const std::size_t rbytes =
-      static_cast<std::size_t>(recvcount) * sizeof(T);
-  std::vector<std::size_t> counts, offs;
-  std::size_t span_end = 0;
-  for (std::size_t i = 0; i < sendcounts.size(); ++i) {
-    counts.push_back(static_cast<std::size_t>(sendcounts[i]) * sizeof(T));
-    offs.push_back(static_cast<std::size_t>(displs[i]) * sizeof(T));
-    span_end = std::max(span_end, offs.back() + counts.back());
-  }
-  mpjbuf::Buffer sstage =
-      getRank() == root ? env_->pool_->get(span_end) : mpjbuf::Buffer{};
-  if (getRank() == root) {
-    JHPC_REQUIRE(sendbuf.length() * sizeof(T) >= span_end,
-                 "scatterv: send array too small");
-    sstage.write(sendbuf, 0, span_end / sizeof(T));
-    sstage.commit();
-  }
-  mpjbuf::Buffer rstage = env_->pool_->get(rbytes);
-  env_->jvm_->jni().crossing();
-  native_.scatterv(getRank() == root ? sstage.native_address() : nullptr,
-                   counts, offs, rstage.native_address(), rbytes, root);
-  rstage.notify_native_write(rbytes);
-  rstage.read(recvbuf, 0, static_cast<std::size_t>(recvcount));
-}
-
-template <JavaPrimitive T>
-void Comm::allGatherv(const JArray<T>& sendbuf, int sendcount,
+void Comm<P>::gatherv(const JArray<T>& sendbuf, int sendcount,
                       const Datatype& type, JArray<T>& recvbuf,
                       std::span<const int> recvcounts,
-                      std::span<const int> displs) const {
-  JHPC_REQUIRE(valid(), "allGatherv on invalid communicator");
-  check_args(sendbuf, sendcount, type, "allGatherv");
-  const std::size_t sbytes =
-      static_cast<std::size_t>(sendcount) * sizeof(T);
-  std::vector<std::size_t> counts, offs;
-  std::size_t span_end = 0;
-  for (std::size_t i = 0; i < recvcounts.size(); ++i) {
-    counts.push_back(static_cast<std::size_t>(recvcounts[i]) * sizeof(T));
-    offs.push_back(static_cast<std::size_t>(displs[i]) * sizeof(T));
-    span_end = std::max(span_end, offs.back() + counts.back());
-  }
-  JHPC_REQUIRE(recvbuf.length() * sizeof(T) >= span_end,
-               "allGatherv: receive array too small");
-  mpjbuf::Buffer sstage = env_->pool_->get(sbytes);
-  mpjbuf::Buffer rstage = env_->pool_->get(span_end);
-  sstage.write(sendbuf, 0, static_cast<std::size_t>(sendcount));
-  sstage.commit();
-  env_->jvm_->jni().crossing();
-  native_.allgatherv(sstage.native_address(), sbytes,
-                     rstage.native_address(), counts, offs);
-  rstage.notify_native_write(span_end);
-  rstage.read(recvbuf, 0, span_end / sizeof(T));
+                      std::span<const int> displs, int root) const {
+  enter("gatherv");
+  const std::size_t n = count_of(sendcount, "gatherv");
+  const bool is_root = getRank() == root;
+  check_coll(sendbuf, n, type, "gatherv");
+  const Layout recv =
+      is_root ? Layout(recvcounts, displs, sizeof(T), getSize(), "gatherv")
+              : Layout();
+  if (is_root) check_coll(recvbuf, recv.end / sizeof(T), type, "gatherv");
+  Stage<P, T> s(*env_, sendbuf, 0, n, type, Use::kIn);
+  Stage<P, T> r(*env_, recvbuf, 0, recv.end / sizeof(T), type,
+                is_root ? Use::kOut : Use::kNone);
+  native_.gatherv(s.data(), n * sizeof(T), r.data(), recv.counts,
+                  recv.displs, root);
+  r.finish(recvbuf, recv.end, type);
 }
 
+template <VendorPolicy P>
 template <JavaPrimitive T>
-void Comm::allToAllv(const JArray<T>& sendbuf,
-                     std::span<const int> sendcounts,
-                     std::span<const int> sdispls, const Datatype& type,
-                     JArray<T>& recvbuf, std::span<const int> recvcounts,
-                     std::span<const int> rdispls) const {
-  JHPC_REQUIRE(valid(), "allToAllv on invalid communicator");
-  JHPC_REQUIRE(kind_of<T>() == type.kind(),
-               "allToAllv: datatype does not match array type");
-  std::vector<std::size_t> sc, so, rc, ro;
-  std::size_t s_end = 0, r_end = 0;
-  for (std::size_t i = 0; i < sendcounts.size(); ++i) {
-    sc.push_back(static_cast<std::size_t>(sendcounts[i]) * sizeof(T));
-    so.push_back(static_cast<std::size_t>(sdispls[i]) * sizeof(T));
-    s_end = std::max(s_end, so.back() + sc.back());
-  }
-  for (std::size_t i = 0; i < recvcounts.size(); ++i) {
-    rc.push_back(static_cast<std::size_t>(recvcounts[i]) * sizeof(T));
-    ro.push_back(static_cast<std::size_t>(rdispls[i]) * sizeof(T));
-    r_end = std::max(r_end, ro.back() + rc.back());
-  }
-  JHPC_REQUIRE(sendbuf.length() * sizeof(T) >= s_end,
-               "allToAllv: send array too small");
-  JHPC_REQUIRE(recvbuf.length() * sizeof(T) >= r_end,
-               "allToAllv: receive array too small");
-  mpjbuf::Buffer sstage = env_->pool_->get(s_end == 0 ? 1 : s_end);
-  mpjbuf::Buffer rstage = env_->pool_->get(r_end == 0 ? 1 : r_end);
-  sstage.write(sendbuf, 0, s_end / sizeof(T));
-  sstage.commit();
-  env_->jvm_->jni().crossing();
-  native_.alltoallv(sstage.native_address(), sc, so,
-                    rstage.native_address(), rc, ro);
-  rstage.notify_native_write(r_end);
-  rstage.read(recvbuf, 0, r_end / sizeof(T));
+void Comm<P>::scatterv(const JArray<T>& sendbuf,
+                       std::span<const int> sendcounts,
+                       std::span<const int> displs, const Datatype& type,
+                       JArray<T>& recvbuf, int recvcount, int root) const {
+  enter("scatterv");
+  const std::size_t n = count_of(recvcount, "scatterv");
+  const bool is_root = getRank() == root;
+  check_coll(recvbuf, n, type, "scatterv(recv)");
+  const Layout send =
+      is_root ? Layout(sendcounts, displs, sizeof(T), getSize(), "scatterv")
+              : Layout();
+  if (is_root) check_coll(sendbuf, send.end / sizeof(T), type, "scatterv");
+  Stage<P, T> s(*env_, sendbuf, 0, send.end / sizeof(T), type,
+                is_root ? Use::kIn : Use::kNone);
+  Stage<P, T> r(*env_, recvbuf, 0, n, type, Use::kOut);
+  native_.scatterv(s.data(), send.counts, send.displs, r.data(),
+                   n * sizeof(T), root);
+  r.finish(recvbuf, n * sizeof(T), type);
 }
 
-// --- Explicit instantiations for the eight Java primitive types --------------
+template <VendorPolicy P>
+template <JavaPrimitive T>
+void Comm<P>::allGatherv(const JArray<T>& sendbuf, int sendcount,
+                         const Datatype& type, JArray<T>& recvbuf,
+                         std::span<const int> recvcounts,
+                         std::span<const int> displs) const {
+  enter("allGatherv");
+  const std::size_t n = count_of(sendcount, "allGatherv");
+  check_coll(sendbuf, n, type, "allGatherv");
+  const Layout recv(recvcounts, displs, sizeof(T), getSize(), "allGatherv");
+  check_coll(recvbuf, recv.end / sizeof(T), type, "allGatherv(recv)");
+  Stage<P, T> s(*env_, sendbuf, 0, n, type, Use::kIn);
+  Stage<P, T> r(*env_, recvbuf, 0, recv.end / sizeof(T), type, Use::kOut);
+  native_.allgatherv(s.data(), n * sizeof(T), r.data(), recv.counts,
+                     recv.displs);
+  r.finish(recvbuf, recv.end, type);
+}
 
-#define JHPC_MV2J_INSTANTIATE(T)                                             \
-  template void Comm::send<T>(const JArray<T>&, int, const Datatype&, int,   \
-                              int) const;                                    \
-  template Status Comm::recv<T>(JArray<T>&, int, const Datatype&, int, int)  \
-      const;                                                                 \
-  template Request Comm::iSend<T>(const JArray<T>&, int, const Datatype&,    \
-                                  int, int) const;                           \
-  template Request Comm::iRecv<T>(JArray<T>&, int, const Datatype&, int,     \
-                                  int) const;                                \
-  template void Comm::send<T>(const JArray<T>&, int, int, const Datatype&,   \
-                              int, int) const;                               \
-  template Status Comm::recv<T>(JArray<T>&, int, int, const Datatype&, int,  \
-                                int) const;                                  \
-  template Request Comm::iSend<T>(const JArray<T>&, int, int,                \
-                                  const Datatype&, int, int) const;          \
-  template Request Comm::iRecv<T>(JArray<T>&, int, int, const Datatype&,     \
-                                  int, int) const;                           \
-  template void Comm::bcast<T>(JArray<T>&, int, const Datatype&, int) const; \
-  template void Comm::reduce<T>(const JArray<T>&, JArray<T>&, int,           \
-                                const Datatype&, const Op&, int) const;      \
-  template void Comm::allReduce<T>(const JArray<T>&, JArray<T>&, int,        \
-                                   const Datatype&, const Op&) const;        \
-  template void Comm::reduceScatterBlock<T>(const JArray<T>&, JArray<T>&,    \
-                                            int, const Datatype&,            \
-                                            const Op&) const;                \
-  template void Comm::scan<T>(const JArray<T>&, JArray<T>&, int,             \
-                              const Datatype&, const Op&) const;             \
-  template void Comm::gather<T>(const JArray<T>&, int, const Datatype&,      \
-                                JArray<T>&, int) const;                      \
-  template void Comm::scatter<T>(const JArray<T>&, int, const Datatype&,     \
-                                 JArray<T>&, int) const;                     \
-  template void Comm::allGather<T>(const JArray<T>&, int, const Datatype&,   \
-                                   JArray<T>&) const;                        \
-  template void Comm::allToAll<T>(const JArray<T>&, int, const Datatype&,    \
-                                  JArray<T>&) const;                         \
-  template void Comm::gatherv<T>(const JArray<T>&, int, const Datatype&,     \
-                                 JArray<T>&, std::span<const int>,           \
-                                 std::span<const int>, int) const;           \
-  template void Comm::scatterv<T>(const JArray<T>&, std::span<const int>,    \
-                                  std::span<const int>, const Datatype&,     \
-                                  JArray<T>&, int, int) const;               \
-  template void Comm::allGatherv<T>(const JArray<T>&, int, const Datatype&,  \
-                                    JArray<T>&, std::span<const int>,        \
-                                    std::span<const int>) const;             \
-  template void Comm::allToAllv<T>(const JArray<T>&, std::span<const int>,   \
-                                   std::span<const int>, const Datatype&,    \
-                                   JArray<T>&, std::span<const int>,         \
-                                   std::span<const int>) const;
+template <VendorPolicy P>
+template <JavaPrimitive T>
+void Comm<P>::allToAllv(const JArray<T>& sendbuf,
+                        std::span<const int> sendcounts,
+                        std::span<const int> sdispls, const Datatype& type,
+                        JArray<T>& recvbuf, std::span<const int> recvcounts,
+                        std::span<const int> rdispls) const {
+  enter("allToAllv");
+  basic_only(type, "allToAllv");
+  const Layout send(sendcounts, sdispls, sizeof(T), getSize(), "allToAllv");
+  const Layout recv(recvcounts, rdispls, sizeof(T), getSize(), "allToAllv");
+  check_coll(sendbuf, send.end / sizeof(T), type, "allToAllv");
+  check_coll(recvbuf, recv.end / sizeof(T), type, "allToAllv(recv)");
+  Stage<P, T> s(*env_, sendbuf, 0, send.end / sizeof(T), type, Use::kIn);
+  Stage<P, T> r(*env_, recvbuf, 0, recv.end / sizeof(T), type, Use::kOut);
+  native_.alltoallv(s.data(), send.counts, send.displs, r.data(), recv.counts,
+                    recv.displs);
+  r.finish(recvbuf, recv.end, type);
+}
 
-JHPC_MV2J_INSTANTIATE(minijvm::jbyte)
-JHPC_MV2J_INSTANTIATE(minijvm::jboolean)
-JHPC_MV2J_INSTANTIATE(minijvm::jchar)
-JHPC_MV2J_INSTANTIATE(minijvm::jshort)
-JHPC_MV2J_INSTANTIATE(minijvm::jint)
-JHPC_MV2J_INSTANTIATE(minijvm::jlong)
-JHPC_MV2J_INSTANTIATE(minijvm::jfloat)
-JHPC_MV2J_INSTANTIATE(minijvm::jdouble)
-#undef JHPC_MV2J_INSTANTIATE
+// --- Explicit instantiations: both vendors x the eight Java primitives -------
 
-}  // namespace jhpc::mv2j
+#define JHPC_BINDINGS_INSTANTIATE(P, T)                                       \
+  template void Comm<P>::send_at<T>(const JArray<T>&, int, int,               \
+                                    const Datatype&, int, int) const;         \
+  template Status Comm<P>::recv_at<T>(JArray<T>&, int, int, const Datatype&,  \
+                                      int, int) const;                        \
+  template Request Comm<P>::isend_at<T>(const JArray<T>&, int, int,           \
+                                        const Datatype&, int, int) const;     \
+  template Request Comm<P>::irecv_at<T>(JArray<T>&, int, int,                 \
+                                        const Datatype&, int, int) const;     \
+  template void Comm<P>::bcast<T>(JArray<T>&, int, const Datatype&, int)      \
+      const;                                                                  \
+  template void Comm<P>::reduce<T>(const JArray<T>&, JArray<T>&, int,         \
+                                   const Datatype&, const Op&, int) const;    \
+  template void Comm<P>::allReduce<T>(const JArray<T>&, JArray<T>&, int,      \
+                                      const Datatype&, const Op&) const;      \
+  template void Comm<P>::reduceScatterBlock<T>(                               \
+      const JArray<T>&, JArray<T>&, int, const Datatype&, const Op&) const;   \
+  template void Comm<P>::scan<T>(const JArray<T>&, JArray<T>&, int,           \
+                                 const Datatype&, const Op&) const;           \
+  template void Comm<P>::gather<T>(const JArray<T>&, int, const Datatype&,    \
+                                   JArray<T>&, int) const;                    \
+  template void Comm<P>::scatter<T>(const JArray<T>&, int, const Datatype&,   \
+                                    JArray<T>&, int) const;                   \
+  template void Comm<P>::allGather<T>(const JArray<T>&, int, const Datatype&, \
+                                      JArray<T>&) const;                      \
+  template void Comm<P>::allToAll<T>(const JArray<T>&, int, const Datatype&,  \
+                                     JArray<T>&) const;                       \
+  template void Comm<P>::gatherv<T>(const JArray<T>&, int, const Datatype&,   \
+                                    JArray<T>&, std::span<const int>,         \
+                                    std::span<const int>, int) const;         \
+  template void Comm<P>::scatterv<T>(const JArray<T>&, std::span<const int>,  \
+                                     std::span<const int>, const Datatype&,   \
+                                     JArray<T>&, int, int) const;             \
+  template void Comm<P>::allGatherv<T>(                                       \
+      const JArray<T>&, int, const Datatype&, JArray<T>&,                     \
+      std::span<const int>, std::span<const int>) const;                      \
+  template void Comm<P>::allToAllv<T>(                                        \
+      const JArray<T>&, std::span<const int>, std::span<const int>,           \
+      const Datatype&, JArray<T>&, std::span<const int>,                      \
+      std::span<const int>) const;
+
+#define JHPC_BINDINGS_INSTANTIATE_ALL(P)            \
+  JHPC_BINDINGS_INSTANTIATE(P, minijvm::jbyte)      \
+  JHPC_BINDINGS_INSTANTIATE(P, minijvm::jboolean)   \
+  JHPC_BINDINGS_INSTANTIATE(P, minijvm::jchar)      \
+  JHPC_BINDINGS_INSTANTIATE(P, minijvm::jshort)     \
+  JHPC_BINDINGS_INSTANTIATE(P, minijvm::jint)       \
+  JHPC_BINDINGS_INSTANTIATE(P, minijvm::jlong)      \
+  JHPC_BINDINGS_INSTANTIATE(P, minijvm::jfloat)     \
+  JHPC_BINDINGS_INSTANTIATE(P, minijvm::jdouble)
+
+JHPC_BINDINGS_INSTANTIATE_ALL(kMv2j)
+JHPC_BINDINGS_INSTANTIATE_ALL(kOmpij)
+#undef JHPC_BINDINGS_INSTANTIATE_ALL
+#undef JHPC_BINDINGS_INSTANTIATE
+
+}  // namespace jhpc::bindings

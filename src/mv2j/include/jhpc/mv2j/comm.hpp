@@ -1,4 +1,5 @@
-// The MVAPICH2-J communicator: the paper's contribution, in API form.
+// The communicator of the binding core: the paper's contribution, in API
+// form, written once for both vendors (policy.hpp).
 //
 // Two families of entry points, as in the Open MPI Java bindings API the
 // paper adopts:
@@ -6,18 +7,20 @@
 //   * direct NIO ByteBuffers — passed by reference through the "JNI"
 //     layer; the native side obtains the stable storage pointer with
 //     GetDirectBufferAddress and hands it straight to the native library
-//     (paper Figure 4; zero copy).
+//     (paper Figure 4; zero copy). Identical for both vendors, except for
+//     the per-call marshalling of VendorPolicy::marshal_per_call.
 //
-//   * Java arrays — staged through the mpjbuf buffering layer: acquire a
-//     pooled direct buffer, bulk-copy the array onto it, pass that buffer
-//     through JNI (paper Figure 3; one copy each side, no per-message
-//     allocation). Unlike the Open MPI Java bindings, this works for
-//     non-blocking point-to-point operations too, because the staging
-//     buffer lives until the request completes.
+//   * Java arrays — staged per VendorPolicy::staging. MVAPICH2-J acquires
+//     a pooled direct buffer, bulk-copies the array onto it and passes
+//     that buffer through JNI (paper Figure 3; one copy each side, no
+//     per-message allocation); the staging buffer lives until a request
+//     completes, so this works for non-blocking point-to-point too.
+//     Open MPI-J copies through a fresh native buffer on every call and
+//     refuses arrays on non-blocking point-to-point.
 //
 // The adopted API has no `offset` argument on communication primitives;
-// because the buffering layer supports sub-range staging natively, this
-// implementation also ships the offset overloads the paper suggests
+// because the buffering layer supports sub-range staging natively, the
+// pooled binding also ships the offset overloads the paper suggests
 // re-introducing (Section IV-B) — see "API extension" below.
 #pragma once
 
@@ -27,20 +30,30 @@
 
 #include "jhpc/minijvm/bytebuffer.hpp"
 #include "jhpc/minijvm/jarray.hpp"
+#include "jhpc/minijvm/jni.hpp"
 #include "jhpc/minimpi/comm.hpp"
-#include "jhpc/mpjbuf/buffer_factory.hpp"
+#include "jhpc/mv2j/policy.hpp"
 #include "jhpc/mv2j/request.hpp"
 #include "jhpc/mv2j/types.hpp"
 
-namespace jhpc::mv2j {
+namespace jhpc::bindings {
 
 using minijvm::ByteBuffer;
 using minijvm::JArray;
 using minijvm::JavaPrimitive;
+using mv2j::Datatype;
+using mv2j::Errhandler;
+using mv2j::Op;
+using mv2j::Request;
+using mv2j::Status;
 
+template <VendorPolicy P>
 class Env;
+template <VendorPolicy P>
+class Win;
 
-/// mpi.Comm / mpi.Intracomm of the MVAPICH2-J bindings.
+/// mpi.Comm / mpi.Intracomm of the Java bindings.
+template <VendorPolicy P>
 class Comm {
  public:
   Comm() = default;
@@ -60,39 +73,64 @@ class Comm {
   Request iRecv(ByteBuffer& buf, int count, const Datatype& type, int source,
                 int tag) const;
 
-  // --- Point-to-point: Java array API (staged through mpjbuf) -------------
+  // --- Point-to-point: Java array API -------------------------------------
   template <JavaPrimitive T>
   void send(const JArray<T>& buf, int count, const Datatype& type, int dest,
-            int tag) const;
+            int tag) const {
+    send_at(buf, 0, count, type, dest, tag);
+  }
   template <JavaPrimitive T>
   Status recv(JArray<T>& buf, int count, const Datatype& type, int source,
-              int tag) const;
-  /// Supported for arrays (unlike Open MPI-J): the pooled staging buffer
-  /// lives inside the returned Request.
+              int tag) const {
+    return recv_at(buf, 0, count, type, source, tag);
+  }
+  /// Pooled staging: the staging buffer lives inside the returned Request.
+  /// Per-call staging: throws UnsupportedOperationError — the array copy
+  /// cannot outlive the call.
   template <JavaPrimitive T>
   Request iSend(const JArray<T>& buf, int count, const Datatype& type,
-                int dest, int tag) const;
+                int dest, int tag) const {
+    return isend_at(buf, 0, count, type, dest, tag);
+  }
   template <JavaPrimitive T>
   Request iRecv(JArray<T>& buf, int count, const Datatype& type, int source,
-                int tag) const;
+                int tag) const {
+    return irecv_at(buf, 0, count, type, source, tag);
+  }
 
   // --- API extension: sub-range ("offset") array communication -------------
   // The mpiJava 1.2 / MPJ APIs had an `offset` argument that the Open MPI
   // Java API dropped; the paper (Section IV-B) notes the buffering layer
   // supports it for free and suggests re-introducing it — these overloads
-  // do exactly that. `offset` is in elements of T.
+  // do exactly that, on the pooled binding. `offset` is in elements of T.
   template <JavaPrimitive T>
   void send(const JArray<T>& buf, int offset, int count,
-            const Datatype& type, int dest, int tag) const;
+            const Datatype& type, int dest, int tag) const
+    requires kPooled<P>
+  {
+    send_at(buf, offset, count, type, dest, tag);
+  }
   template <JavaPrimitive T>
   Status recv(JArray<T>& buf, int offset, int count, const Datatype& type,
-              int source, int tag) const;
+              int source, int tag) const
+    requires kPooled<P>
+  {
+    return recv_at(buf, offset, count, type, source, tag);
+  }
   template <JavaPrimitive T>
   Request iSend(const JArray<T>& buf, int offset, int count,
-                const Datatype& type, int dest, int tag) const;
+                const Datatype& type, int dest, int tag) const
+    requires kPooled<P>
+  {
+    return isend_at(buf, offset, count, type, dest, tag);
+  }
   template <JavaPrimitive T>
   Request iRecv(JArray<T>& buf, int offset, int count, const Datatype& type,
-                int source, int tag) const;
+                int source, int tag) const
+    requires kPooled<P>
+  {
+    return irecv_at(buf, offset, count, type, source, tag);
+  }
 
   // --- Probing -------------------------------------------------------------
   /// Block until a matching message is pending; returns its envelope.
@@ -100,11 +138,13 @@ class Comm {
   /// Non-blocking probe: true + filled `status` when a message is pending.
   bool iProbe(int source, int tag, Status* status) const;
 
-  /// Combined send/recv (buffers).
+  /// Combined send/recv (buffers); an MVAPICH2-J extension the Open MPI
+  /// Java API does not have.
   Status sendRecv(const ByteBuffer& sendbuf, int sendcount,
                   const Datatype& sendtype, int dest, int sendtag,
                   ByteBuffer& recvbuf, int recvcount,
-                  const Datatype& recvtype, int source, int recvtag) const;
+                  const Datatype& recvtype, int source, int recvtag) const
+    requires kPooled<P>;
 
   // --- Blocking collectives: ByteBuffer API --------------------------------
   void barrier() const;
@@ -153,7 +193,7 @@ class Comm {
   Request iAllToAll(const ByteBuffer& sendbuf, int count,
                     const Datatype& type, ByteBuffer& recvbuf) const;
 
-  // --- Blocking collectives: Java array API ----------------------------------
+  // --- Blocking collectives: Java array API (basic datatypes only) ---------
   template <JavaPrimitive T>
   void bcast(JArray<T>& buf, int count, const Datatype& type,
              int root) const;
@@ -184,6 +224,9 @@ class Comm {
                 JArray<T>& recvbuf) const;
 
   // --- Vectored blocking collectives (counts/displs in elements) -----------
+  // Basic datatypes only; counts/displs need one entry per rank and no
+  // negative value (read on the root for gatherv/scatterv, everywhere
+  // for allGatherv/allToAllv).
   void gatherv(const ByteBuffer& sendbuf, int sendcount,
                const Datatype& type, ByteBuffer& recvbuf,
                std::span<const int> recvcounts, std::span<const int> displs,
@@ -223,9 +266,9 @@ class Comm {
   /// Expose `bytes` of a direct ByteBuffer as this rank's window slice
   /// (collective over the communicator). Heap buffers are rejected: RMA
   /// needs a stable native address.
-  class Win winCreate(ByteBuffer& buf, std::size_t bytes) const;
+  Win<P> winCreate(ByteBuffer& buf, std::size_t bytes) const;
   /// Collectively allocate a zero-initialised window of `bytes`.
-  class Win winAllocate(std::size_t bytes) const;
+  Win<P> winAllocate(std::size_t bytes) const;
 
   // --- Communicator management ----------------------------------------------
   Comm dup() const;
@@ -252,17 +295,52 @@ class Comm {
   const minimpi::Comm& native() const { return native_; }
 
  private:
-  friend class Env;
-  friend class Win;  // one-sided paths reuse buffer_address/env_
-  Comm(Env* env, minimpi::Comm native) : env_(env), native_(native) {}
+  friend class Env<P>;
+  friend class Win<P>;  // one-sided paths reuse enter/buffer_address
+  Comm(Env<P>* env, minimpi::Comm native) : env_(env), native_(native) {}
+
+  /// Entry of a bound native method: the validity check, then one JNI
+  /// crossing. Returns the rank's JNI environment.
+  minijvm::JniEnv& enter(const char* what) const;
+
+  /// A request with no staging state to complete (the ByteBuffer paths).
+  static Request no_staging(minimpi::Request r) {
+    return Request(std::move(r), nullptr);
+  }
 
   /// Native pointer of a direct buffer, via the JNI layer; validates
   /// direct-ness and capacity for `bytes`.
   std::byte* buffer_address(const ByteBuffer& buf, std::size_t bytes,
                             const char* what) const;
 
-  Env* env_ = nullptr;
+  // The array point-to-point bodies behind both the plain and the offset
+  // overloads.
+  template <JavaPrimitive T>
+  void send_at(const JArray<T>& buf, int offset, int count,
+               const Datatype& type, int dest, int tag) const;
+  template <JavaPrimitive T>
+  Status recv_at(JArray<T>& buf, int offset, int count, const Datatype& type,
+                 int source, int tag) const;
+  template <JavaPrimitive T>
+  Request isend_at(const JArray<T>& buf, int offset, int count,
+                   const Datatype& type, int dest, int tag) const;
+  template <JavaPrimitive T>
+  Request irecv_at(JArray<T>& buf, int offset, int count,
+                   const Datatype& type, int source, int tag) const;
+
+  Env<P>* env_ = nullptr;
   minimpi::Comm native_;
 };
+
+}  // namespace jhpc::bindings
+
+namespace jhpc::mv2j {
+
+using minijvm::ByteBuffer;
+using minijvm::JArray;
+using minijvm::JavaPrimitive;
+
+/// mpi.Comm of the MVAPICH2-J bindings.
+using Comm = bindings::Comm<bindings::kMv2j>;
 
 }  // namespace jhpc::mv2j

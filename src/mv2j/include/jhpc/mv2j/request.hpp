@@ -1,4 +1,4 @@
-// Non-blocking requests of the MVAPICH2-J bindings.
+// Non-blocking requests of the binding core (both vendors).
 //
 // A bindings-level request wraps the native request plus whatever staging
 // state the Java layer created for it: for array operations the pooled
@@ -12,11 +12,8 @@
 #include <vector>
 
 #include "jhpc/minimpi/request.hpp"
+#include "jhpc/mv2j/policy.hpp"
 #include "jhpc/mv2j/types.hpp"
-
-namespace jhpc::ompij {
-class Comm;
-}
 
 namespace jhpc::mv2j {
 
@@ -40,10 +37,8 @@ class Request {
   static void waitAll(std::span<Request> requests);
 
  private:
-  friend class Comm;
-  // The Open MPI-J baseline implements the same Java API and constructs
-  // the same Request objects.
-  friend class jhpc::ompij::Comm;
+  template <bindings::VendorPolicy>
+  friend class bindings::Comm;
   struct CompletionState {
     /// Runs exactly once after the native request completes.
     std::function<void(const minimpi::Status&)> on_complete;

@@ -1,5 +1,5 @@
-// mpi.Win of the MVAPICH2-J bindings: one-sided communication over
-// direct ByteBuffers.
+// mpi.Win of the binding core: one-sided communication over direct
+// ByteBuffers, for both vendors.
 //
 // Same Figure-4 pipeline as the two-sided ByteBuffer paths — reference
 // in, one JNI crossing, GetDirectBufferAddress, native call on the raw
@@ -13,7 +13,9 @@
 //
 // Epoch discipline, completion semantics and the error taxonomy are the
 // substrate's (jhpc/minimpi/win.hpp); these bindings add only the JNI
-// crossing accounting and ByteBuffer capacity validation.
+// crossing accounting (plus Open MPI-J's per-call marshalling on every
+// origin, VendorPolicy::marshal_per_call) and ByteBuffer capacity
+// validation.
 #pragma once
 
 #include <cstddef>
@@ -24,17 +26,13 @@
 #include "jhpc/mv2j/comm.hpp"
 #include "jhpc/mv2j/types.hpp"
 
-namespace jhpc::mv2j {
-
-/// Passive-target lock modes, re-exported under their Java names.
-using LockType = minimpi::LockType;
-inline constexpr LockType LOCK_EXCLUSIVE = minimpi::LockType::kExclusive;
-inline constexpr LockType LOCK_SHARED = minimpi::LockType::kShared;
+namespace jhpc::bindings {
 
 /// mpi.Win: a window of directly-accessible memory on every rank of the
 /// communicator it was created from. Obtain one with Comm::winCreate
 /// (expose an existing direct ByteBuffer) or Comm::winAllocate (the
 /// library allocates zeroed memory).
+template <VendorPolicy P>
 class Win {
  public:
   Win() = default;
@@ -81,7 +79,7 @@ class Win {
   /// Closes the exposure epoch opened by post() (MPI_Win_wait; named for
   /// the Java bindings' Request::waitFor idiom).
   void waitFor() const;
-  void lock(LockType type, int targetRank) const;
+  void lock(minimpi::LockType type, int targetRank) const;
   void unlock(int targetRank) const;
   void lockAll() const;
   void unlockAll() const;
@@ -92,17 +90,32 @@ class Win {
   const minimpi::Win& native() const { return native_; }
 
  private:
-  friend class Comm;
-  Win(Comm comm, minimpi::Win native)
+  friend class Comm<P>;
+  Win(Comm<P> comm, minimpi::Win native)
       : comm_(std::move(comm)), native_(std::move(native)) {}
+
+  /// Entry of a bound window method: validity check plus the crossing.
+  minijvm::JniEnv& enter(const char* what) const;
 
   /// Origin pointer for `count` elements of `type`, through the JNI
   /// layer (crossing accounted, direct-ness and capacity validated).
   std::byte* origin_address(const ByteBuffer& buf, int count,
                             const Datatype& type, const char* what) const;
 
-  Comm comm_;
+  Comm<P> comm_;
   minimpi::Win native_;
 };
+
+}  // namespace jhpc::bindings
+
+namespace jhpc::mv2j {
+
+/// Passive-target lock modes, re-exported under their Java names.
+using LockType = minimpi::LockType;
+inline constexpr LockType LOCK_EXCLUSIVE = minimpi::LockType::kExclusive;
+inline constexpr LockType LOCK_SHARED = minimpi::LockType::kShared;
+
+/// mpi.Win of the MVAPICH2-J bindings.
+using Win = bindings::Win<bindings::kMv2j>;
 
 }  // namespace jhpc::mv2j

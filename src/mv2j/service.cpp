@@ -4,15 +4,17 @@
 
 #include "jhpc/support/error.hpp"
 
-namespace jhpc::mv2j {
+namespace jhpc::bindings {
 
-jhpcd::JobHandle Service::submit(const ServiceJobOptions& options,
-                                 std::function<void(Env&)> rank_main) {
+template <VendorPolicy P>
+jhpcd::JobHandle Service<P>::submit(const ServiceJobOptions<P>& options,
+                                    std::function<void(Env<P>&)> rank_main) {
   JHPC_REQUIRE(static_cast<bool>(rank_main), "rank_main must be callable");
   // The options outlive the submission call but not the job; share them
   // with every rank thread of the (possibly much later) run.
-  auto opts = std::make_shared<RunOptions>(options.run);
-  auto body = std::make_shared<std::function<void(Env&)>>(std::move(rank_main));
+  auto opts = std::make_shared<RunOptions<P>>(options.run);
+  auto body =
+      std::make_shared<std::function<void(Env<P>&)>>(std::move(rank_main));
   jhpcd::JobSpec spec;
   spec.name = options.name;
   spec.config = opts->universe_config();
@@ -20,10 +22,13 @@ jhpcd::JobHandle Service::submit(const ServiceJobOptions& options,
   spec.priority = options.priority;
   spec.quota = options.quota;
   spec.rank_main = [opts, body](minimpi::Comm& world) {
-    Env env(world, *opts);
+    Env<P> env(world, *opts);
     (*body)(env);
   };
   return manager_.submit(std::move(spec));
 }
 
-}  // namespace jhpc::mv2j
+template class Service<kMv2j>;
+template class Service<kOmpij>;
+
+}  // namespace jhpc::bindings

@@ -1,40 +1,29 @@
 // The Open MPI Java bindings baseline ("Open MPI-J" in the paper).
 //
-// Same public API shape as MVAPICH2-J (which adopted this API), different
-// implementation choices — faithfully reproduced because the paper's
-// evaluation turns on them:
+// Same public API as MVAPICH2-J (which adopted this API), and the same
+// binding core underneath (jhpc/mv2j/comm.hpp), instantiated with the
+// kOmpij vendor policy (jhpc/mv2j/policy.hpp). The three policy fields
+// are the implementation choices the paper's evaluation turns on:
 //
-//   * Java arrays are staged through a freshly malloc'd native buffer on
-//     EVERY call (Get/Set<Type>ArrayRegion, sized by the message): a copy
-//     in, and a copy back for receive-like operations. No staging pool.
-//   * Java arrays with non-blocking point-to-point operations are NOT
-//     supported: iSend/iRecv with arrays throw UnsupportedOperationError.
-//     (This is why the paper's bandwidth figures have no "Open MPI-J
-//     arrays" series.)
-//   * The native library underneath is the `basic` collective suite —
-//     flat linear algorithms — which is where the paper's 6.2x/2.76x
-//     collective gaps come from.
-//
-// Datatype/Op/Status constants are shared with mv2j (both libraries
-// implement the same Java API).
+//   * staging = kPerCall: Java arrays are staged through a fresh native
+//     buffer on EVERY call (Get/Set<Type>ArrayRegion, sized by the
+//     message): a copy in, and a copy back for receive-like operations.
+//     No staging pool, so Env has no pool() and RunOptions no `pool`.
+//     Java arrays with non-blocking point-to-point operations are NOT
+//     supported: iSend/iRecv with arrays throw UnsupportedOperationError
+//     (this is why the paper's bandwidth figures have no "Open MPI-J
+//     arrays" series). Neither are derived datatypes on arrays nor the
+//     offset overloads.
+//   * marshal_per_call = true: a Datatype/Comm object graph is marshalled
+//     per call (one extra JNI handle check on blocking ByteBuffer
+//     send/recv and on every Win origin).
+//   * suite = kOmpiBasic: the native library underneath is the `basic`
+//     collective suite — flat linear algorithms — which is where the
+//     paper's 6.2x/2.76x collective gaps come from.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <span>
-#include <string>
-#include <vector>
-
-#include "jhpc/minijvm/bytebuffer.hpp"
-#include "jhpc/minijvm/jarray.hpp"
-#include "jhpc/minijvm/jvm.hpp"
-#include "jhpc/minimpi/comm.hpp"
-#include "jhpc/minimpi/universe.hpp"
-#include "jhpc/minimpi/win.hpp"
-#include "jhpc/mv2j/request.hpp"
-#include "jhpc/mv2j/types.hpp"
-#include "jhpc/obs/obs.hpp"
+#include "jhpc/mv2j/env.hpp"
+#include "jhpc/mv2j/win.hpp"
 
 namespace jhpc::ompij {
 
@@ -42,319 +31,29 @@ using minijvm::ByteBuffer;
 using minijvm::JArray;
 using minijvm::JavaPrimitive;
 // The API constants are the same Java API; reuse the mv2j definitions.
-using mv2j::Datatype;
-using mv2j::kind_of;
-using mv2j::Op;
-using mv2j::Request;
-using mv2j::Status;
 using mv2j::ANY_SOURCE;
 using mv2j::ANY_TAG;
+using mv2j::Datatype;
 using mv2j::Errhandler;
 using mv2j::ERRORS_ARE_FATAL;
 using mv2j::ERRORS_RETURN;
-
-/// Passive-target lock modes (same Java names as MVAPICH2-J).
-using LockType = minimpi::LockType;
-inline constexpr LockType LOCK_EXCLUSIVE = minimpi::LockType::kExclusive;
-inline constexpr LockType LOCK_SHARED = minimpi::LockType::kShared;
-
-class Env;
+using mv2j::kind_of;
+using mv2j::LOCK_EXCLUSIVE;
+using mv2j::LOCK_SHARED;
+using mv2j::LockType;
+using mv2j::Op;
+using mv2j::Request;
+using mv2j::Status;
 
 /// mpi.Comm of the Open MPI-J baseline.
-class Comm {
- public:
-  Comm() = default;
-
-  bool valid() const { return env_ != nullptr && native_.valid(); }
-  int getRank() const { return native_.rank(); }
-  int getSize() const { return native_.size(); }
-
-  // --- Point-to-point: direct ByteBuffer API (zero copy) --------------------
-  void send(const ByteBuffer& buf, int count, const Datatype& type, int dest,
-            int tag) const;
-  Status recv(ByteBuffer& buf, int count, const Datatype& type, int source,
-              int tag) const;
-  Request iSend(const ByteBuffer& buf, int count, const Datatype& type,
-                int dest, int tag) const;
-  Request iRecv(ByteBuffer& buf, int count, const Datatype& type, int source,
-                int tag) const;
-
-  // --- Point-to-point: Java array API (Get/Release copies) ------------------
-  template <JavaPrimitive T>
-  void send(const JArray<T>& buf, int count, const Datatype& type, int dest,
-            int tag) const;
-  template <JavaPrimitive T>
-  Status recv(JArray<T>& buf, int count, const Datatype& type, int source,
-              int tag) const;
-  /// NOT SUPPORTED (throws UnsupportedOperationError): the Open MPI Java
-  /// bindings cannot keep an array copy alive across a non-blocking call.
-  template <JavaPrimitive T>
-  Request iSend(const JArray<T>& buf, int count, const Datatype& type,
-                int dest, int tag) const;
-  /// NOT SUPPORTED (throws UnsupportedOperationError).
-  template <JavaPrimitive T>
-  Request iRecv(JArray<T>& buf, int count, const Datatype& type, int source,
-                int tag) const;
-
-  // --- Probing -------------------------------------------------------------
-  Status probe(int source, int tag) const;
-  bool iProbe(int source, int tag, Status* status) const;
-
-  // --- Blocking collectives: ByteBuffer API -----------------------------------
-  void barrier() const;
-  void bcast(ByteBuffer& buf, int count, const Datatype& type,
-             int root) const;
-  void reduce(const ByteBuffer& sendbuf, ByteBuffer& recvbuf, int count,
-              const Datatype& type, const Op& op, int root) const;
-  void allReduce(const ByteBuffer& sendbuf, ByteBuffer& recvbuf, int count,
-                 const Datatype& type, const Op& op) const;
-  void reduceScatterBlock(const ByteBuffer& sendbuf, ByteBuffer& recvbuf,
-                          int recvcount, const Datatype& type,
-                          const Op& op) const;
-  void scan(const ByteBuffer& sendbuf, ByteBuffer& recvbuf, int count,
-            const Datatype& type, const Op& op) const;
-  void gather(const ByteBuffer& sendbuf, int count, const Datatype& type,
-              ByteBuffer& recvbuf, int root) const;
-  void scatter(const ByteBuffer& sendbuf, int count, const Datatype& type,
-               ByteBuffer& recvbuf, int root) const;
-  void allGather(const ByteBuffer& sendbuf, int count, const Datatype& type,
-                 ByteBuffer& recvbuf) const;
-  void allToAll(const ByteBuffer& sendbuf, int count, const Datatype& type,
-                ByteBuffer& recvbuf) const;
-
-  // --- Nonblocking collectives: ByteBuffer API (zero copy) ----------------
-  // Same schedule engine as MVAPICH2-J underneath; direct buffers only
-  // (arrays cannot outlive the call in this binding style — see iSend).
-  Request iBarrier() const;
-  Request iBcast(ByteBuffer& buf, int count, const Datatype& type,
-                 int root) const;
-  Request iReduce(const ByteBuffer& sendbuf, ByteBuffer& recvbuf, int count,
-                  const Datatype& type, const Op& op, int root) const;
-  Request iAllReduce(const ByteBuffer& sendbuf, ByteBuffer& recvbuf,
-                     int count, const Datatype& type, const Op& op) const;
-  Request iGather(const ByteBuffer& sendbuf, int count, const Datatype& type,
-                  ByteBuffer& recvbuf, int root) const;
-  Request iScatter(const ByteBuffer& sendbuf, int count,
-                   const Datatype& type, ByteBuffer& recvbuf, int root) const;
-  Request iAllGather(const ByteBuffer& sendbuf, int count,
-                     const Datatype& type, ByteBuffer& recvbuf) const;
-  Request iAllToAll(const ByteBuffer& sendbuf, int count,
-                    const Datatype& type, ByteBuffer& recvbuf) const;
-
-  // --- Blocking collectives: Java array API (Get/Release around native) ------
-  template <JavaPrimitive T>
-  void bcast(JArray<T>& buf, int count, const Datatype& type,
-             int root) const;
-  template <JavaPrimitive T>
-  void reduce(const JArray<T>& sendbuf, JArray<T>& recvbuf, int count,
-              const Datatype& type, const Op& op, int root) const;
-  template <JavaPrimitive T>
-  void allReduce(const JArray<T>& sendbuf, JArray<T>& recvbuf, int count,
-                 const Datatype& type, const Op& op) const;
-  template <JavaPrimitive T>
-  void reduceScatterBlock(const JArray<T>& sendbuf, JArray<T>& recvbuf,
-                          int recvcount, const Datatype& type,
-                          const Op& op) const;
-  template <JavaPrimitive T>
-  void scan(const JArray<T>& sendbuf, JArray<T>& recvbuf, int count,
-            const Datatype& type, const Op& op) const;
-  template <JavaPrimitive T>
-  void gather(const JArray<T>& sendbuf, int count, const Datatype& type,
-              JArray<T>& recvbuf, int root) const;
-  template <JavaPrimitive T>
-  void scatter(const JArray<T>& sendbuf, int count, const Datatype& type,
-               JArray<T>& recvbuf, int root) const;
-  template <JavaPrimitive T>
-  void allGather(const JArray<T>& sendbuf, int count, const Datatype& type,
-                 JArray<T>& recvbuf) const;
-  template <JavaPrimitive T>
-  void allToAll(const JArray<T>& sendbuf, int count, const Datatype& type,
-                JArray<T>& recvbuf) const;
-
-  // --- Vectored blocking collectives (counts/displs in elements) -----------
-  void gatherv(const ByteBuffer& sendbuf, int sendcount,
-               const Datatype& type, ByteBuffer& recvbuf,
-               std::span<const int> recvcounts, std::span<const int> displs,
-               int root) const;
-  void scatterv(const ByteBuffer& sendbuf, std::span<const int> sendcounts,
-                std::span<const int> displs, const Datatype& type,
-                ByteBuffer& recvbuf, int recvcount, int root) const;
-  void allGatherv(const ByteBuffer& sendbuf, int sendcount,
-                  const Datatype& type, ByteBuffer& recvbuf,
-                  std::span<const int> recvcounts,
-                  std::span<const int> displs) const;
-  void allToAllv(const ByteBuffer& sendbuf, std::span<const int> sendcounts,
-                 std::span<const int> sdispls, const Datatype& type,
-                 ByteBuffer& recvbuf, std::span<const int> recvcounts,
-                 std::span<const int> rdispls) const;
-
-  template <JavaPrimitive T>
-  void gatherv(const JArray<T>& sendbuf, int sendcount, const Datatype& type,
-               JArray<T>& recvbuf, std::span<const int> recvcounts,
-               std::span<const int> displs, int root) const;
-  template <JavaPrimitive T>
-  void scatterv(const JArray<T>& sendbuf, std::span<const int> sendcounts,
-                std::span<const int> displs, const Datatype& type,
-                JArray<T>& recvbuf, int recvcount, int root) const;
-  template <JavaPrimitive T>
-  void allGatherv(const JArray<T>& sendbuf, int sendcount,
-                  const Datatype& type, JArray<T>& recvbuf,
-                  std::span<const int> recvcounts,
-                  std::span<const int> displs) const;
-  template <JavaPrimitive T>
-  void allToAllv(const JArray<T>& sendbuf, std::span<const int> sendcounts,
-                 std::span<const int> sdispls, const Datatype& type,
-                 JArray<T>& recvbuf, std::span<const int> recvcounts,
-                 std::span<const int> rdispls) const;
-
-  // --- One-sided communication (mpi.Win) ------------------------------------
-  class Win winCreate(ByteBuffer& buf, std::size_t bytes) const;
-  class Win winAllocate(std::size_t bytes) const;
-
-  // --- Communicator management --------------------------------------------------
-  Comm dup() const;
-  Comm split(int color, int key) const;
-
-  // --- Fault tolerance (the MPIX/ULFM extension surface) --------------------
-  /// Same contract as the mv2j bindings: rank-failure policy (default
-  /// ERRORS_ARE_FATAL, inherited by derived communicators), revocation,
-  /// survivors-only shrink, and fault-tolerant agreement.
-  void setErrhandler(Errhandler eh) const;
-  Errhandler getErrhandler() const;
-  void revoke() const;
-  Comm shrink() const;
-  int agree(int flag) const;
-  std::vector<int> getFailedRanks() const;
-
-  const minimpi::Comm& native() const { return native_; }
-
- private:
-  friend class Env;
-  friend class Win;  // one-sided paths reuse buffer_address/env_
-  Comm(Env* env, minimpi::Comm native) : env_(env), native_(native) {}
-
-  std::byte* buffer_address(const ByteBuffer& buf, std::size_t bytes,
-                            const char* what) const;
-
-  Env* env_ = nullptr;
-  minimpi::Comm native_;
-};
-
-/// mpi.Win of the Open MPI-J baseline: the same one-sided ByteBuffer API
-/// as MVAPICH2-J (both bindings expose the same Java API) over the same
-/// native window engine. Direct buffers only — an array origin would
-/// need a staged copy, which defeats one-sided transfers outright, so
-/// this binding never offered one. Every call pays the baseline's extra
-/// per-call object-graph marshalling (crossing + handle walk).
-class Win {
- public:
-  Win() = default;
-
-  bool valid() const { return native_.valid(); }
-  int getRank() const { return native_.rank(); }
-  int getSize() const { return native_.size(); }
-  std::size_t getBytes(int targetRank) const {
-    return native_.bytes(targetRank);
-  }
-
-  void put(const ByteBuffer& origin, int count, const Datatype& type,
-           int targetRank, std::size_t targetOffset) const;
-  void put(const ByteBuffer& origin, int count, const Datatype& type,
-           int targetRank, std::size_t targetOffset,
-           const Datatype& targetType) const;
-  void get(ByteBuffer& origin, int count, const Datatype& type,
-           int targetRank, std::size_t targetOffset) const;
-  void get(ByteBuffer& origin, int count, const Datatype& type,
-           int targetRank, std::size_t targetOffset,
-           const Datatype& targetType) const;
-  void accumulate(const ByteBuffer& origin, int count, const Datatype& type,
-                  const Op& op, int targetRank,
-                  std::size_t targetOffset) const;
-  void fetchOp(const ByteBuffer& value, ByteBuffer& result,
-               const Datatype& type, const Op& op, int targetRank,
-               std::size_t targetOffset) const;
-
-  void fence() const;
-  void post(std::span<const int> group) const;
-  void start(std::span<const int> group) const;
-  void complete() const;
-  void waitFor() const;
-  void lock(LockType type, int targetRank) const;
-  void unlock(int targetRank) const;
-  void lockAll() const;
-  void unlockAll() const;
-
-  void free();
-
-  const minimpi::Win& native() const { return native_; }
-
- private:
-  friend class Comm;
-  Win(Comm comm, minimpi::Win native)
-      : comm_(std::move(comm)), native_(std::move(native)) {}
-
-  std::byte* origin_address(const ByteBuffer& buf, int count,
-                            const Datatype& type, const char* what) const;
-
-  Comm comm_;
-  minimpi::Win native_;
-};
-
-/// Job-level options.
-struct RunOptions {
-  int ranks = 2;
-  netsim::FabricConfig fabric{};
-  std::size_t eager_limit = 16 * 1024;
-  minijvm::JvmConfig jvm = minijvm::JvmConfig::from_env();
-  /// Observability switches (JHPC_PVARS / JHPC_TRACE by default).
-  obs::ObsConfig obs = obs::ObsConfig::from_env();
-  /// Run collectives on the topology-aware hierarchical engine instead
-  /// of the basic linear/binomial ones (JHPC_COLL=hier equivalent).
-  bool hier_collectives = false;
-
-  /// Native configuration: suite forced to kOmpiBasic ("Open MPI"),
-  /// unless `hier_collectives` selects the hierarchical engine.
-  minimpi::UniverseConfig universe_config() const;
-};
-
-/// One rank's Open MPI-J environment: a JVM plus COMM_WORLD. No buffer
-/// pool — this baseline does not have one.
-class Env {
- public:
-  Env(minimpi::Comm& native_world, const RunOptions& options);
-  ~Env();
-  Env(const Env&) = delete;
-  Env& operator=(const Env&) = delete;
-
-  Comm& COMM_WORLD() { return world_; }
-  minijvm::Jvm& jvm() { return *jvm_; }
-
-  // --- MPI_T-style tool access (mirrors the mv2j Env API) ----------------
-  /// The job's performance-variable registry, or nullptr when disabled.
-  obs::PvarRegistry* pvars() const { return world_.native().pvars(); }
-  /// This rank's value of pvar `name`; 0 when unknown or disabled.
-  std::int64_t readPvar(const std::string& name) const;
-  /// This rank's decoded distribution of histogram pvar `name` (raw
-  /// registered units); an empty reading when unknown or disabled.
-  obs::HistReading readHistogram(const std::string& name) const;
-  /// Percentile `p` (0..100) of this rank's histogram `name`.
-  std::int64_t histogramPercentile(const std::string& name, double p) const;
-
-  ByteBuffer newDirectBuffer(std::size_t bytes) {
-    return ByteBuffer::allocate_direct(bytes);
-  }
-  template <JavaPrimitive T>
-  JArray<T> newArray(std::size_t n) {
-    return jvm_->new_array<T>(n);
-  }
-
- private:
-  friend class Comm;
-  std::unique_ptr<minijvm::Jvm> jvm_;
-  Comm world_;
-};
-
+using Comm = bindings::Comm<bindings::kOmpij>;
+/// mpi.Win of the Open MPI-J baseline (direct ByteBuffer origins only).
+using Win = bindings::Win<bindings::kOmpij>;
+/// Job-level options (no pool knob: this baseline has no pool).
+using RunOptions = bindings::RunOptions<bindings::kOmpij>;
+/// One rank's Open MPI-J environment: a JVM plus COMM_WORLD.
+using Env = bindings::Env<bindings::kOmpij>;
 /// Launch an Open MPI-J job.
-void run(const RunOptions& options, const std::function<void(Env&)>& rank_main);
+using bindings::run;
 
 }  // namespace jhpc::ompij

@@ -1,56 +1,14 @@
-// Open MPI-J service mode: submit/await jobs against a resident jhpcd
-// fleet, mirroring the mv2j Service facade (see jhpc/mv2j/service.hpp
-// and docs/SERVICE.md). Both bindings can share one JobManager-backed
-// fleet in a mixed deployment; this facade owns a private one.
+// Open MPI-J service mode: the binding core's Service facade (see
+// jhpc/mv2j/service.hpp and docs/SERVICE.md) over a private jhpcd fleet.
 #pragma once
 
-#include <functional>
-#include <string>
-#include <utility>
-
-#include "jhpc/jhpcd/jhpcd.hpp"
+#include "jhpc/mv2j/service.hpp"
 #include "jhpc/ompij/ompij.hpp"
 
 namespace jhpc::ompij {
 
-/// One service submission: a diagnostic name, the ordinary RunOptions,
-/// and the jhpcd scheduling attributes.
-struct ServiceJobOptions {
-  std::string name;
-  RunOptions run{};
-  jhpcd::JobClass job_class = jhpcd::JobClass::kLatency;
-  int priority = 0;
-  jhpcd::JobQuota quota{};
-};
-
+using ServiceJobOptions = bindings::ServiceJobOptions<bindings::kOmpij>;
 /// A resident Open MPI-J scheduler.
-class Service {
- public:
-  explicit Service(jhpcd::ServiceConfig config = jhpcd::ServiceConfig{})
-      : manager_(config) {}
-
-  /// Queue a job; same admission/quota errors as JobManager::submit.
-  jhpcd::JobHandle submit(const ServiceJobOptions& options,
-                          std::function<void(Env&)> rank_main);
-
-  /// Convenience: default scheduling attributes.
-  jhpcd::JobHandle submit(const std::string& name, const RunOptions& options,
-                          std::function<void(Env&)> rank_main) {
-    ServiceJobOptions job;
-    job.name = name;
-    job.run = options;
-    return submit(job, std::move(rank_main));
-  }
-
-  void drain() { manager_.drain(); }
-  void shutdown() { manager_.shutdown(); }
-  jhpcd::ServiceStats stats() const { return manager_.stats(); }
-
-  jhpcd::JobManager& manager() { return manager_; }
-  const jhpcd::JobManager& manager() const { return manager_; }
-
- private:
-  jhpcd::JobManager manager_;
-};
+using Service = bindings::Service<bindings::kOmpij>;
 
 }  // namespace jhpc::ompij

@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "jhpc/minijvm/jni.hpp"
 #include "jhpc/mv2j/env.hpp"
 #include "jhpc/mv2j/win.hpp"
 #include "jhpc/ompij/ompij.hpp"
@@ -237,10 +238,151 @@ TEST(DerivedTypeTest, ByteBufferVectoredAndScanStayBasicOnly) {
     const Datatype col = Datatype::vector(2, 1, 2, INT);
     auto sbuf = env.newDirectBuffer(64);
     auto rbuf = env.newDirectBuffer(64);
+    const std::vector<int> counts{1, 1}, displs{0, 1};
     EXPECT_THROW(world.scan(sbuf, rbuf, 1, col, SUM),
                  UnsupportedOperationError);
+    EXPECT_THROW(world.reduceScatterBlock(sbuf, rbuf, 1, col, SUM),
+                 UnsupportedOperationError);
+    EXPECT_THROW(world.gatherv(sbuf, 1, col, rbuf, counts, displs, 0),
+                 UnsupportedOperationError);
+    EXPECT_THROW(world.scatterv(sbuf, counts, displs, col, rbuf, 1, 0),
+                 UnsupportedOperationError);
+    EXPECT_THROW(world.allGatherv(sbuf, 1, col, rbuf, counts, displs),
+                 UnsupportedOperationError);
+    EXPECT_THROW(
+        world.allToAllv(sbuf, counts, displs, col, rbuf, counts, displs),
+        UnsupportedOperationError);
     world.barrier();
   });
+}
+
+// The vectored collectives once moved count*size() contiguous bytes for
+// any datatype on Open MPI-J; they are basic-only on both vendors.
+TEST(DerivedTypeTest, OmpijByteBufferVectoredStayBasicOnly) {
+  ompij::RunOptions o;
+  o.ranks = 2;
+  o.jvm.jni_crossing_ns = 0;
+  ompij::run(o, [](ompij::Env& env) {
+    ompij::Comm& world = env.COMM_WORLD();
+    const Datatype col = Datatype::vector(2, 1, 2, INT);
+    auto sbuf = env.newDirectBuffer(64);
+    auto rbuf = env.newDirectBuffer(64);
+    const std::vector<int> counts{1, 1}, displs{0, 3};
+    EXPECT_THROW(world.gatherv(sbuf, 1, col, rbuf, counts, displs, 0),
+                 UnsupportedOperationError);
+    EXPECT_THROW(world.scatterv(sbuf, counts, displs, col, rbuf, 1, 0),
+                 UnsupportedOperationError);
+    EXPECT_THROW(world.allGatherv(sbuf, 1, col, rbuf, counts, displs),
+                 UnsupportedOperationError);
+    EXPECT_THROW(
+        world.allToAllv(sbuf, counts, displs, col, rbuf, counts, displs),
+        UnsupportedOperationError);
+    world.barrier();
+  });
+}
+
+// Array collectives stage `count` contiguous elements, so a derived
+// layout would be silently flattened (a strided bcast moving only its
+// first element). Both vendors refuse it with one error.
+template <class EnvT>
+void expect_array_collectives_basic_only(EnvT& env) {
+  auto& world = env.COMM_WORLD();
+  const Datatype strided = Datatype::vector(3, 1, 2, INT);
+  auto a = env.template newArray<minijvm::jint>(32);
+  auto b = env.template newArray<minijvm::jint>(32);
+  const std::vector<int> counts{1, 1}, displs{0, 5};
+  EXPECT_THROW(world.bcast(a, 1, strided, 0), UnsupportedOperationError);
+  EXPECT_THROW(world.reduce(a, b, 1, strided, SUM, 0),
+               UnsupportedOperationError);
+  EXPECT_THROW(world.allReduce(a, b, 1, strided, SUM),
+               UnsupportedOperationError);
+  EXPECT_THROW(world.reduceScatterBlock(a, b, 1, strided, SUM),
+               UnsupportedOperationError);
+  EXPECT_THROW(world.scan(a, b, 1, strided, SUM), UnsupportedOperationError);
+  EXPECT_THROW(world.gather(a, 1, strided, b, 0), UnsupportedOperationError);
+  EXPECT_THROW(world.scatter(a, 1, strided, b, 0), UnsupportedOperationError);
+  EXPECT_THROW(world.allGather(a, 1, strided, b), UnsupportedOperationError);
+  EXPECT_THROW(world.allToAll(a, 1, strided, b), UnsupportedOperationError);
+  EXPECT_THROW(world.gatherv(a, 1, strided, b, counts, displs, 0),
+               UnsupportedOperationError);
+  EXPECT_THROW(world.scatterv(a, counts, displs, strided, b, 1, 0),
+               UnsupportedOperationError);
+  EXPECT_THROW(world.allGatherv(a, 1, strided, b, counts, displs),
+               UnsupportedOperationError);
+  EXPECT_THROW(world.allToAllv(a, counts, displs, strided, b, counts, displs),
+               UnsupportedOperationError);
+  world.barrier();
+}
+
+TEST(DerivedTypeTest, ArrayCollectivesStayBasicOnly) {
+  run(fast_opts(2), [](Env& env) {
+    expect_array_collectives_basic_only(env);
+    // Nothing was staged for a refused call.
+    EXPECT_EQ(env.pool().stats().requests, 0u);
+  });
+  ompij::RunOptions o;
+  o.ranks = 2;
+  o.jvm.jni_crossing_ns = 0;
+  ompij::run(o, [](ompij::Env& env) {
+    expect_array_collectives_basic_only(env);
+    EXPECT_EQ(env.jvm().jni().outstanding_copies(), 0u);
+  });
+}
+
+// Malformed vectored arguments: a displacement array shorter than the
+// counts, an empty one, and a negative count. The core checks both
+// arrays wherever it reads them (the root of gatherv/scatterv, every rank
+// of allGatherv/allToAllv) before touching any element, so every rank
+// passes the same bad arrays and the job stays consistent.
+template <class EnvT>
+void expect_vectored_args_checked(EnvT& env) {
+  auto& world = env.COMM_WORLD();
+  const bool root = world.getRank() == 0;
+  const std::vector<int> ones{1, 1, 1}, displs{0, 1, 2}, short_displs{0, 1};
+  const std::vector<int> none, negative{1, -1, 1};
+  auto sb = env.newDirectBuffer(64);
+  auto rb = env.newDirectBuffer(64);
+  auto sa = env.template newArray<minijvm::jint>(16);
+  auto ra = env.template newArray<minijvm::jint>(16);
+  struct Bad {
+    const std::vector<int>& counts;
+    const std::vector<int>& displs;
+  };
+  for (const Bad& bad : {Bad{ones, short_displs}, Bad{ones, none},
+                         Bad{negative, displs}}) {
+    auto expect_rejected = [&](auto& s, auto& r) {
+      EXPECT_THROW(world.allGatherv(s, 1, INT, r, bad.counts, bad.displs),
+                   InvalidArgumentError);
+      EXPECT_THROW(world.allToAllv(s, bad.counts, bad.displs, INT, r,
+                                   bad.counts, bad.displs),
+                   InvalidArgumentError);
+      EXPECT_THROW(world.allToAllv(s, ones, displs, INT, r, bad.counts,
+                                   bad.displs),
+                   InvalidArgumentError);
+      if (root) {
+        EXPECT_THROW(
+            world.gatherv(s, 1, INT, r, bad.counts, bad.displs, 0),
+            InvalidArgumentError);
+        EXPECT_THROW(
+            world.scatterv(s, bad.counts, bad.displs, INT, r, 1, 0),
+            InvalidArgumentError);
+      }
+    };
+    expect_rejected(sb, rb);
+    expect_rejected(sa, ra);
+  }
+  world.barrier();
+}
+
+TEST(VectoredArgsTest, Mv2jChecksCountsAndDisplacements) {
+  run(fast_opts(3), [](Env& env) { expect_vectored_args_checked(env); });
+}
+
+TEST(VectoredArgsTest, OmpijChecksCountsAndDisplacements) {
+  ompij::RunOptions o;
+  o.ranks = 3;
+  o.jvm.jni_crossing_ns = 0;
+  ompij::run(o, [](ompij::Env& env) { expect_vectored_args_checked(env); });
 }
 
 TEST(DerivedTypeTest, NegativeLowerBoundRejectedOnByteBuffer) {
