@@ -6,8 +6,8 @@
 // Every operation follows one template over its node's segment:
 //
 //   IN   members publish (slot.ptr/vtime) and arrive(seq)
-//   MID  the node leader runs the inter-node phase among all leaders,
-//        using the mv2-shaped trees on the parent communicator
+//   MID  the node leader runs the inter-node phase among all leaders:
+//        a schedule of the shared builders over the leader team
 //   OUT  the leader publishes (pub_ptr/pub_vtime) and releases(seq);
 //        members consume single-copy and acknowledge done(seq)
 //   END  the leader (and the rank whose live buffer was published) waits
@@ -164,136 +164,45 @@ std::int64_t wait_members(const Ctx& h, HierSeg& seg, std::uint64_t seq,
   return tmax;
 }
 
-// --- Inter-node primitives over the leader team -------------------------
-// `team` holds comm ranks (one leader per node, ordered by node id);
-// `me_idx` is the caller's index. These are the mv2 tree shapes with team
-// indices in place of comm ranks, on the parent communicator's reserved
-// hier tags — no sub-communicator is materialised.
+// --- Inter-node phase over the leader team ------------------------------
+// `team` holds comm ranks (one per node, ordered by node id); `me_idx` is
+// the caller's index in it. The shared builders run with team indices in
+// place of comm ranks, on the parent communicator's reserved hier tags —
+// no sub-communicator is materialised.
 
-int team_index(const std::vector<int>& team, int comm_rank) {
+int position_in(const std::vector<int>& team, int comm_rank) {
   return static_cast<int>(
       std::find(team.begin(), team.end(), comm_rank) - team.begin());
 }
 
-void team_barrier(const Comm& c, const std::vector<int>& team, int me_idx) {
-  const int n = static_cast<int>(team.size());
-  const char token_out = 0;
-  char token_in = 0;
-  for (int mask = 1; mask < n; mask <<= 1) {
-    const int dst = team[static_cast<std::size_t>((me_idx + mask) % n)];
-    const int src = team[static_cast<std::size_t>((me_idx - mask + n) % n)];
-    c.sendrecv(&token_out, sizeof(token_out), dst, kTagHierBarrier,
-               &token_in, sizeof(token_in), src, kTagHierBarrier);
-  }
+/// Team-level arguments: root is a team index.
+CollArgs leader_args(int root_idx, std::size_t bytes, std::size_t count = 0,
+                     BasicKind kind = BasicKind::kByte,
+                     ReduceOp op = ReduceOp::kSum) {
+  CollArgs a;
+  a.root = root_idx;
+  a.bytes = bytes;
+  a.count = count;
+  a.kind = kind;
+  a.rop = op;
+  return a;
 }
 
-void team_bcast(const Comm& c, const std::vector<int>& team, int me_idx,
-                int root_idx, void* buf, std::size_t bytes) {
-  const int n = static_cast<int>(team.size());
-  const int rel = (me_idx - root_idx + n) % n;
-  int mask = 1;
-  while (mask < n) {
-    if (rel & mask) {
-      const int src = team[static_cast<std::size_t>(
-          (rel - mask + root_idx + n) % n)];
-      c.recv(buf, bytes, src, kTagHierBcast);
-      break;
-    }
-    mask <<= 1;
+/// Build `alg` over the team and run it inline on hier tag `tag`.
+void run_team(const Comm& c, const std::vector<int>& team, int me_idx,
+              CollAlg alg, CollArgs a, const void* in, void* out, int tag) {
+  a.n = static_cast<int>(team.size());
+  a.me = me_idx;
+  Schedule s;
+  build(s, alg, a);
+  for (NbcStep& st : s.steps) {
+    if (st.kind == NbcStepKind::kSend || st.kind == NbcStepKind::kRecv)
+      st.peer = team[static_cast<std::size_t>(st.peer)];
   }
-  mask >>= 1;
-  while (mask > 0) {
-    if (rel + mask < n) {
-      const int dst =
-          team[static_cast<std::size_t>((rel + mask + root_idx) % n)];
-      c.send(buf, bytes, dst, kTagHierBcast);
-    }
-    mask >>= 1;
-  }
-}
-
-/// Binomial reduce of `acc` (in place, caller's contribution included)
-/// toward team[root_idx].
-void team_reduce(const Comm& c, const std::vector<int>& team, int me_idx,
-                 int root_idx, void* acc, std::size_t count, BasicKind kind,
-                 ReduceOp op) {
-  const int n = static_cast<int>(team.size());
-  const std::size_t bytes = count * basic_size(kind);
-  const int rel = (me_idx - root_idx + n) % n;
-  std::vector<std::byte> incoming(bytes);
-  int mask = 1;
-  while (mask < n) {
-    if ((rel & mask) == 0) {
-      const int src_rel = rel | mask;
-      if (src_rel < n) {
-        const int src =
-            team[static_cast<std::size_t>((src_rel + root_idx) % n)];
-        c.recv(incoming.data(), bytes, src, kTagHierReduce);
-        apply_reduce(op, kind, acc, incoming.data(), count);
-      }
-    } else {
-      const int dst =
-          team[static_cast<std::size_t>(((rel & ~mask) + root_idx) % n)];
-      c.send(acc, bytes, dst, kTagHierReduce);
-      break;
-    }
-    mask <<= 1;
-  }
-}
-
-/// Recursive-doubling allreduce of `buf` (in place) across the team, with
-/// the standard non-power-of-two fold.
-void team_allreduce(const Comm& c, const std::vector<int>& team, int me_idx,
-                    void* buf, std::size_t count, BasicKind kind,
-                    ReduceOp op) {
-  const int n = static_cast<int>(team.size());
-  if (n == 1) return;
-  const std::size_t bytes = count * basic_size(kind);
-  int pof2 = 1;
-  while (pof2 * 2 <= n) pof2 *= 2;
-  const int rem = n - pof2;
-  std::vector<std::byte> incoming(bytes);
-
-  auto rank_of = [&](int idx) { return team[static_cast<std::size_t>(idx)]; };
-
-  int newidx;
-  if (me_idx < 2 * rem) {
-    if (me_idx % 2 == 0) {
-      c.send(buf, bytes, rank_of(me_idx + 1), kTagHierAllreduce);
-      newidx = -1;
-    } else {
-      c.recv(incoming.data(), bytes, rank_of(me_idx - 1), kTagHierAllreduce);
-      apply_reduce(op, kind, buf, incoming.data(), count);
-      newidx = me_idx / 2;
-    }
-  } else {
-    newidx = me_idx - rem;
-  }
-
-  if (newidx != -1) {
-    for (int mask = 1; mask < pof2; mask <<= 1) {
-      const int partner_new = newidx ^ mask;
-      const int partner_idx =
-          partner_new < rem ? partner_new * 2 + 1 : partner_new + rem;
-      c.sendrecv(buf, bytes, rank_of(partner_idx), kTagHierAllreduce,
-                 incoming.data(), bytes, rank_of(partner_idx),
-                 kTagHierAllreduce);
-      apply_reduce(op, kind, buf, incoming.data(), count);
-    }
-  }
-
-  if (me_idx < 2 * rem) {
-    if (me_idx % 2 != 0) {
-      c.send(buf, bytes, rank_of(me_idx - 1), kTagHierAllreduce);
-    } else {
-      c.recv(buf, bytes, rank_of(me_idx + 1), kTagHierAllreduce);
-    }
-  }
+  run_schedule(c, s, in, out, a.kind, a.rop, CollAlg::kCount, tag);
 }
 
 constexpr std::size_t kNoSkip = static_cast<std::size_t>(-1);
-
-}  // namespace
 
 void barrier(const Comm& c) {
   if (c.size() == 1) return;
@@ -313,8 +222,11 @@ void barrier(const Comm& c) {
       observe_flag(h, wait_members(h, *seg, seq, t.my_pos, kNoSkip,
                                    /*done_flags=*/false));
     }
-    if (t.leaders.size() > 1)
-      team_barrier(c, t.leaders, t.group_of[static_cast<std::size_t>(c.rank())]);
+    if (t.leaders.size() > 1) {
+      run_team(c, t.leaders, t.group_of[static_cast<std::size_t>(c.rank())],
+               CollAlg::kBarrierDissemination, CollArgs{}, nullptr, nullptr,
+               kTagHierBarrier);
+    }
     if (seg != nullptr) {
       h.clock->advance_cpu();
       seg->pub_vtime = h.clock->vclock;
@@ -355,9 +267,13 @@ void bcast(const Comm& c, void* buf, std::size_t bytes, int root) {
           : kNoSkip;
 
   if (t.is_leader) {
-    const int my_leader_idx = team_index(t.leaders, me);
-    const int root_leader_idx =
-        team_index(t.leaders, t.leaders[static_cast<std::size_t>(root_group)]);
+    const int my_leader_idx = position_in(t.leaders, me);
+    const int root_leader_idx = position_in(
+        t.leaders, t.leaders[static_cast<std::size_t>(root_group)]);
+    auto inter_bcast = [&] {
+      run_team(c, t.leaders, my_leader_idx, CollAlg::kBcastBinomial,
+               leader_args(root_leader_idx, bytes), buf, buf, kTagHierBcast);
+    };
     if (t.my_group == root_group && me != root) {
       // The data enters through root's published buffer: copy it out
       // directly (my own receive IS the single-copy).
@@ -372,7 +288,7 @@ void bcast(const Comm& c, void* buf, std::size_t bytes, int root) {
       seg->pub_ptr = rs.ptr;  // members copy straight from root's buffer
       seg->pub_vtime = h.clock->vclock;
       seg->release.store(seq, std::memory_order_release);
-      team_bcast(c, t.leaders, my_leader_idx, root_leader_idx, buf, bytes);
+      inter_bcast();
       observe_flag(h, wait_members(h, *seg, seq, t.my_pos, root_pos,
                                    /*done_flags=*/true));
       // Relay "everyone is done with your buffer" to the non-leader
@@ -386,19 +302,17 @@ void bcast(const Comm& c, void* buf, std::size_t bytes, int root) {
       observe_flag(h, rs2.vtime_done);
     } else {
       if (me != root)
-        team_bcast(c, t.leaders, my_leader_idx, root_leader_idx, buf, bytes);
+        inter_bcast();
       if (seg != nullptr) {
         h.clock->advance_cpu();
         seg->pub_ptr = buf;
         seg->pub_vtime = h.clock->vclock;
         seg->release.store(seq, std::memory_order_release);
-        if (me == root)
-          team_bcast(c, t.leaders, my_leader_idx, root_leader_idx, buf,
-                     bytes);
+        if (me == root) inter_bcast();
         observe_flag(h, wait_members(h, *seg, seq, t.my_pos, kNoSkip,
                                      /*done_flags=*/true));
       } else if (me == root) {
-        team_bcast(c, t.leaders, my_leader_idx, root_leader_idx, buf, bytes);
+        inter_bcast();
       }
     }
   } else if (me == root) {
@@ -488,10 +402,16 @@ void reduce(const Comm& c, const void* sbuf, void* rbuf, std::size_t count,
       observe_flag(h, wait_members(h, *seg, seq, t.my_pos, kNoSkip,
                                    /*done_flags=*/true));
     }
-    team_reduce(c, t.leaders, team_index(t.leaders, me),
-                team_index(t.leaders, root_leader), acc, count, kind, op);
-    if (me == root_leader && !am_root)
-      c.send(acc, bytes, root, kTagHierRootXfer);
+    run_team(c, t.leaders, position_in(t.leaders, me),
+             CollAlg::kReduceBinomial,
+             leader_args(position_in(t.leaders, root_leader), bytes, count,
+                         kind, op),
+             acc, acc, kTagHierReduce);
+    // Hand the result to a non-leader root: a two-rank bcast.
+    if (me == root_leader && !am_root) {
+      run_team(c, {root_leader, root}, 0, CollAlg::kBcastBinomial,
+               leader_args(0, bytes), acc, acc, kTagHierRootXfer);
+    }
   } else {
     HierSeg::Slot& mineslot = seg->slots[t.my_pos];
     mineslot.ptr = sbuf;
@@ -501,7 +421,10 @@ void reduce(const Comm& c, const void* sbuf, void* rbuf, std::size_t count,
     observe_flag(h, seg->pub_vtime);
     mineslot.vtime_done = h.clock->vclock;
     mineslot.done.store(seq, std::memory_order_release);
-    if (me == root) c.recv(rbuf, bytes, root_leader, kTagHierRootXfer);
+    if (me == root) {
+      run_team(c, {root_leader, root}, 1, CollAlg::kBcastBinomial,
+               leader_args(0, bytes), rbuf, rbuf, kTagHierRootXfer);
+    }
   }
 }
 
@@ -539,8 +462,10 @@ void allreduce(const Comm& c, const void* sbuf, void* rbuf,
         count_single_copy(h, bytes);
       }
     }
-    team_allreduce(c, t.leaders, team_index(t.leaders, me), rbuf, count,
-                   kind, op);
+    run_team(c, t.leaders, position_in(t.leaders, me),
+             CollAlg::kAllreduceRecursiveDoubling,
+             leader_args(0, bytes, count, kind, op), rbuf, rbuf,
+             kTagHierAllreduce);
     if (seg != nullptr) {
       h.clock->advance_cpu();
       seg->pub_ptr = rbuf;
@@ -683,31 +608,59 @@ void gather(const Comm& c, const void* sbuf, std::size_t bpr, void* rbuf,
     }
   }
 
-  // Inter-node phase: one coalesced message per remote node, leader ->
-  // root, unpacked by the shared topology.
-  if (me == root) {
-    std::vector<Request> reqs;
-    std::vector<std::vector<std::byte>> blocks;
-    for (std::size_t g = 0; g < t.groups.size(); ++g) {
-      if (static_cast<int>(g) == root_group) continue;
-      blocks.emplace_back(t.groups[g].size() * bpr);
-      reqs.push_back(c.irecv(blocks.back().data(), blocks.back().size(),
-                             t.leaders[g], kTagHierGather));
+  // Inter-node phase: one coalesced message per remote node, collector ->
+  // root — a gatherv over the node collectors — unpacked by the shared
+  // topology.
+  if (me != root && !am_collector) return;
+  std::vector<int> collectors = t.leaders;
+  collectors[static_cast<std::size_t>(root_group)] = root;
+  std::vector<std::size_t> counts;
+  std::vector<std::size_t> displs;
+  std::size_t total = 0;
+  for (std::size_t g = 0; g < t.groups.size(); ++g) {
+    displs.push_back(total);
+    counts.push_back(static_cast<int>(g) == root_group
+                         ? 0
+                         : t.groups[g].size() * bpr);
+    total += counts.back();
+  }
+  if (me == root) staging.assign(total, std::byte{0});
+  CollArgs a = leader_args(root_group, me == root ? 0 : staging.size());
+  a.counts = counts;
+  a.displs = displs;
+  run_team(c, collectors, t.my_group, CollAlg::kGathervLinear, a,
+           staging.data(), staging.data(), kTagHierGather);
+  if (me != root) return;
+  auto* out = static_cast<std::byte*>(rbuf);
+  for (std::size_t g = 0; g < t.groups.size(); ++g) {
+    for (std::size_t i = 0; i < counts[g] / bpr; ++i) {
+      std::memcpy(out + static_cast<std::size_t>(t.groups[g][i]) * bpr,
+                  staging.data() + displs[g] + i * bpr, bpr);
     }
-    std::size_t b = 0;
-    auto* out = static_cast<std::byte*>(rbuf);
-    for (std::size_t g = 0; g < t.groups.size(); ++g) {
-      if (static_cast<int>(g) == root_group) continue;
-      reqs[b].wait();
-      ChargedSection charged(*h.clock);
-      for (std::size_t i = 0; i < t.groups[g].size(); ++i) {
-        std::memcpy(out + static_cast<std::size_t>(t.groups[g][i]) * bpr,
-                    blocks[b].data() + i * bpr, bpr);
-      }
-      ++b;
-    }
-  } else if (am_collector) {
-    c.send(staging.data(), staging.size(), root, kTagHierGather);
+  }
+}
+
+}  // namespace
+
+bool run(const Comm& c, const CollArgs& a, const void* in, void* out) {
+  switch (a.op) {
+    case CollOp::kBarrier:
+      barrier(c);
+      return true;
+    case CollOp::kBcast:
+      bcast(c, out, a.bytes, a.root);
+      return true;
+    case CollOp::kReduce:
+      reduce(c, in, out, a.count, a.kind, a.rop, a.root);
+      return true;
+    case CollOp::kAllreduce:
+      allreduce(c, in, out, a.count, a.kind, a.rop);
+      return true;
+    case CollOp::kGather:
+      gather(c, in, a.bytes, out, a.root);
+      return true;
+    default:
+      return false;
   }
 }
 

@@ -50,17 +50,6 @@ std::size_t typed_bytes(int count, const Datatype& type, const char* what) {
   return type.size() * static_cast<std::size_t>(count);
 }
 
-// Leaf kind for a typed reduction; even a dense (contiguous-layout)
-// struct can mix leaves, so both routes must check.
-BasicKind reduce_leaf(const Datatype& type) {
-  if (!type.uniform_leaf()) {
-    throw UnsupportedOperationError(
-        "typed reduction requires a uniform leaf kind (mixed-leaf "
-        "structs are not element-wise reducible)");
-  }
-  return type.leaf_kind();
-}
-
 // RAII scratch drawn from the transport slab recycler for the typed
 // collective pack shim: steady state is a free-list pop, no allocation.
 // Acquire and release both run on the owning rank's thread (true for
@@ -384,309 +373,204 @@ bool Comm::iprobe(int src, int tag, Status* status) const {
                             /*blocking=*/false, status);
 }
 
-// --- Collectives: suite dispatch ----------------------------------------------
-// Three suites: mv2 (tuned trees), basic (flat linear), hier (topology-
-// aware two-level; coll_hier.cpp). hier specialises barrier/bcast/reduce/
-// allreduce/gather and falls back to the mv2 algorithms for every other
-// collective, so `suite() != kOmpiBasic` selects the mv2 path there.
+// --- Collectives -------------------------------------------------------------
+// Every blocking collective is one schedule (detail/coll.hpp): the suite's
+// selector picks the builder, run_schedule runs it on this rank. hier runs
+// barrier/bcast/reduce/allreduce/gather itself (coll_hier.cpp) and selects
+// like mv2 for every other collective.
+
+namespace {
+
+using detail::coll_args;
+using detail::reduce_args;
+
+void run_coll(const Comm& c, const detail::CollArgs& a, const void* in,
+              void* out) {
+  const detail::ObsAccess acc = detail::obs_access(c);
+  const detail::InternalTagScope tags;
+  revoke_on_failure(acc.uni, acc.context_id, acc.world_rank, [&] {
+    if (c.suite() == CollectiveSuite::kHier && detail::hier::run(c, a, in, out))
+      return;
+    const detail::CollAlg alg =
+        detail::select_alg(c.suite(), a, c.universe_config());
+    detail::Schedule s;
+    detail::build(s, alg, a);
+    detail::run_schedule(c, s, in, out, a.kind, a.rop, alg);
+  });
+}
+
+void check_layout(const Comm& c, std::span<const std::size_t> counts,
+                  std::span<const std::size_t> displs, const char* what) {
+  const auto n = static_cast<std::size_t>(c.size());
+  JHPC_REQUIRE(counts.size() == n && displs.size() == n,
+               std::string(what) + " counts/displs must have comm-size entries");
+}
+
+}  // namespace
 
 void Comm::barrier() const {
   check_valid(impl_);
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    switch (suite()) {
-      case CollectiveSuite::kHier: detail::hier::barrier(*this); break;
-      case CollectiveSuite::kMv2: detail::mv2::barrier(*this); break;
-      case CollectiveSuite::kOmpiBasic: detail::basic::barrier(*this); break;
-    }
-  });
+  run_coll(*this, coll_args(*this, detail::CollOp::kBarrier), nullptr,
+           nullptr);
 }
 
 void Comm::bcast(void* buf, std::size_t bytes, int root) const {
   check_valid(impl_);
   check_peer(root, size(), "bcast");
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    switch (suite()) {
-      case CollectiveSuite::kHier:
-        detail::hier::bcast(*this, buf, bytes, root);
-        break;
-      case CollectiveSuite::kMv2:
-        detail::mv2::bcast(*this, buf, bytes, root);
-        break;
-      case CollectiveSuite::kOmpiBasic:
-        detail::basic::bcast(*this, buf, bytes, root);
-        break;
-    }
-  });
+  run_coll(*this, coll_args(*this, detail::CollOp::kBcast, bytes, root), buf,
+           buf);
 }
 
 void Comm::reduce(const void* send_buf, void* recv_buf, std::size_t count,
                   BasicKind kind, ReduceOp op, int root) const {
   check_valid(impl_);
   check_peer(root, size(), "reduce");
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    switch (suite()) {
-      case CollectiveSuite::kHier:
-        detail::hier::reduce(*this, send_buf, recv_buf, count, kind, op,
-                             root);
-        break;
-      case CollectiveSuite::kMv2:
-        detail::mv2::reduce(*this, send_buf, recv_buf, count, kind, op,
-                            root);
-        break;
-      case CollectiveSuite::kOmpiBasic:
-        detail::basic::reduce(*this, send_buf, recv_buf, count, kind, op,
-                              root);
-        break;
-    }
-  });
+  run_coll(*this,
+           reduce_args(*this, detail::CollOp::kReduce, count, kind, op, root),
+           send_buf, recv_buf);
 }
 
 void Comm::allreduce(const void* send_buf, void* recv_buf, std::size_t count,
                      BasicKind kind, ReduceOp op) const {
   check_valid(impl_);
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    switch (suite()) {
-      case CollectiveSuite::kHier:
-        detail::hier::allreduce(*this, send_buf, recv_buf, count, kind, op);
-        break;
-      case CollectiveSuite::kMv2:
-        detail::mv2::allreduce(*this, send_buf, recv_buf, count, kind, op);
-        break;
-      case CollectiveSuite::kOmpiBasic:
-        detail::basic::allreduce(*this, send_buf, recv_buf, count, kind,
-                                 op);
-        break;
-    }
-  });
+  run_coll(*this,
+           reduce_args(*this, detail::CollOp::kAllreduce, count, kind, op),
+           send_buf, recv_buf);
 }
 
 void Comm::reduce_scatter_block(const void* send_buf, void* recv_buf,
                                 std::size_t count_per_rank, BasicKind kind,
                                 ReduceOp op) const {
   check_valid(impl_);
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    suite() != CollectiveSuite::kOmpiBasic
-        ? detail::mv2::reduce_scatter_block(*this, send_buf, recv_buf,
-                                            count_per_rank, kind, op)
-        : detail::basic::reduce_scatter_block(*this, send_buf, recv_buf,
-                                              count_per_rank, kind, op);
-  });
+  run_coll(*this,
+           reduce_args(*this, detail::CollOp::kReduceScatter, count_per_rank,
+                       kind, op),
+           send_buf, recv_buf);
 }
 
 void Comm::scan(const void* send_buf, void* recv_buf, std::size_t count,
                 BasicKind kind, ReduceOp op) const {
   check_valid(impl_);
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    suite() != CollectiveSuite::kOmpiBasic
-        ? detail::mv2::scan(*this, send_buf, recv_buf, count, kind, op)
-        : detail::basic::scan(*this, send_buf, recv_buf, count, kind, op);
-  });
+  run_coll(*this, reduce_args(*this, detail::CollOp::kScan, count, kind, op),
+           send_buf, recv_buf);
 }
 
 void Comm::gather(const void* send_buf, std::size_t bytes_per_rank,
                   void* recv_buf, int root) const {
   check_valid(impl_);
   check_peer(root, size(), "gather");
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    switch (suite()) {
-      case CollectiveSuite::kHier:
-        detail::hier::gather(*this, send_buf, bytes_per_rank, recv_buf,
-                             root);
-        break;
-      case CollectiveSuite::kMv2:
-        detail::mv2::gather(*this, send_buf, bytes_per_rank, recv_buf,
-                            root);
-        break;
-      case CollectiveSuite::kOmpiBasic:
-        detail::basic::gather(*this, send_buf, bytes_per_rank, recv_buf,
-                              root);
-        break;
-    }
-  });
+  run_coll(*this,
+           coll_args(*this, detail::CollOp::kGather, bytes_per_rank, root),
+           send_buf, recv_buf);
 }
 
 void Comm::scatter(const void* send_buf, std::size_t bytes_per_rank,
                    void* recv_buf, int root) const {
   check_valid(impl_);
   check_peer(root, size(), "scatter");
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    suite() != CollectiveSuite::kOmpiBasic
-        ? detail::mv2::scatter(*this, send_buf, bytes_per_rank, recv_buf,
-                               root)
-        : detail::basic::scatter(*this, send_buf, bytes_per_rank, recv_buf,
-                                 root);
-  });
+  run_coll(*this,
+           coll_args(*this, detail::CollOp::kScatter, bytes_per_rank, root),
+           send_buf, recv_buf);
 }
 
 void Comm::allgather(const void* send_buf, std::size_t bytes_per_rank,
                      void* recv_buf) const {
   check_valid(impl_);
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    suite() != CollectiveSuite::kOmpiBasic
-        ? detail::mv2::allgather(*this, send_buf, bytes_per_rank, recv_buf)
-        : detail::basic::allgather(*this, send_buf, bytes_per_rank,
-                                   recv_buf);
-  });
+  run_coll(*this, coll_args(*this, detail::CollOp::kAllgather, bytes_per_rank),
+           send_buf, recv_buf);
 }
 
 void Comm::alltoall(const void* send_buf, std::size_t bytes_per_pair,
                     void* recv_buf) const {
   check_valid(impl_);
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    suite() != CollectiveSuite::kOmpiBasic
-        ? detail::mv2::alltoall(*this, send_buf, bytes_per_pair, recv_buf)
-        : detail::basic::alltoall(*this, send_buf, bytes_per_pair, recv_buf);
-  });
+  run_coll(*this, coll_args(*this, detail::CollOp::kAlltoall, bytes_per_pair),
+           send_buf, recv_buf);
 }
 
 // --- Typed (derived-datatype) blocking collectives --------------------------
-// Strided layouts are packed through a slab-drawn scratch and run the
-// byte engines unchanged — every suite (basic/mv2/nbc/hier) executes the
+// Strided layouts are packed through slab-drawn scratch and run the byte
+// engines unchanged — every suite (basic/mv2/nbc/hier) executes the
 // identical wire algorithm for typed and untyped payloads, which is what
 // lets the differential oracle cross-check them. Dense layouts skip the
-// shim entirely. The engines' own tags are protected by their
-// InternalTagScope; the shim adds no communication of its own.
+// shim entirely. The shim adds no communication of its own.
+
+namespace {
+
+void typed_coll(const Comm& c, detail::CollOp what, const void* send_buf,
+                void* recv_buf, int count, const Datatype& type, ReduceOp op,
+                int root) {
+  const detail::CollArgs args =
+      detail::typed_args(c, what, count, type, op, root);
+  if (type.contiguous_layout()) {
+    run_coll(c, args, send_buf, recv_buf);
+    return;
+  }
+  const detail::TypedPlan plan =
+      detail::typed_plan(what, count, c.size(), c.rank() == root);
+  const detail::ObsAccess acc = detail::obs_access(c);
+  SlabScratch in(acc.uni, acc.world_rank,
+                 type.size() * static_cast<std::size_t>(plan.in));
+  SlabScratch out(acc.uni, acc.world_rank,
+                  type.size() * static_cast<std::size_t>(plan.out));
+  if (plan.in > 0) type.pack(send_buf, in.data(), plan.in);
+  if (plan.pack_out) type.pack(recv_buf, out.data(), plan.out);
+  run_coll(c, args, in.data(), out.data());
+  if (plan.unpack) type.unpack(out.data(), recv_buf, plan.out);
+}
+
+}  // namespace
 
 void Comm::bcast(void* buf, int count, const Datatype& type,
                  int root) const {
-  const std::size_t bytes = typed_bytes(count, type, "bcast");
-  if (type.contiguous_layout()) {
-    bcast(buf, bytes, root);
-    return;
-  }
   check_valid(impl_);
   check_peer(root, size(), "bcast");
-  SlabScratch scratch(impl_, my_world(), bytes);
-  if (my_rank_ == root) type.pack(buf, scratch.data(), count);
-  bcast(scratch.data(), bytes, root);
-  if (my_rank_ != root) type.unpack(scratch.data(), buf, count);
+  typed_coll(*this, detail::CollOp::kBcast, buf, buf, count, type,
+             ReduceOp::kSum, root);
 }
 
 void Comm::reduce(const void* send_buf, void* recv_buf, int count,
                   const Datatype& type, ReduceOp op, int root) const {
-  const std::size_t bytes = typed_bytes(count, type, "reduce");
-  const BasicKind leaf = reduce_leaf(type);
-  const std::size_t elems = bytes / basic_size(leaf);
-  if (type.contiguous_layout()) {
-    reduce(send_buf, recv_buf, elems, leaf, op, root);
-    return;
-  }
   check_valid(impl_);
   check_peer(root, size(), "reduce");
-  const int me = my_world();
-  SlabScratch send_s(impl_, me, bytes);
-  SlabScratch recv_s(impl_, me, bytes);
-  type.pack(send_buf, send_s.data(), count);
-  reduce(send_s.data(), recv_s.data(), elems, leaf, op, root);
-  if (my_rank_ == root) type.unpack(recv_s.data(), recv_buf, count);
+  typed_coll(*this, detail::CollOp::kReduce, send_buf, recv_buf, count, type,
+             op, root);
 }
 
 void Comm::allreduce(const void* send_buf, void* recv_buf, int count,
                      const Datatype& type, ReduceOp op) const {
-  const std::size_t bytes = typed_bytes(count, type, "allreduce");
-  const BasicKind leaf = reduce_leaf(type);
-  const std::size_t elems = bytes / basic_size(leaf);
-  if (type.contiguous_layout()) {
-    allreduce(send_buf, recv_buf, elems, leaf, op);
-    return;
-  }
   check_valid(impl_);
-  const int me = my_world();
-  SlabScratch send_s(impl_, me, bytes);
-  SlabScratch recv_s(impl_, me, bytes);
-  type.pack(send_buf, send_s.data(), count);
-  allreduce(send_s.data(), recv_s.data(), elems, leaf, op);
-  type.unpack(recv_s.data(), recv_buf, count);
+  typed_coll(*this, detail::CollOp::kAllreduce, send_buf, recv_buf, count,
+             type, op, 0);
 }
 
 void Comm::gather(const void* send_buf, int count, const Datatype& type,
                   void* recv_buf, int root) const {
-  const std::size_t bytes = typed_bytes(count, type, "gather");
-  if (type.contiguous_layout()) {
-    gather(send_buf, bytes, recv_buf, root);
-    return;
-  }
   check_valid(impl_);
   check_peer(root, size(), "gather");
-  const int me = my_world();
-  const std::size_t n = static_cast<std::size_t>(size());
-  SlabScratch send_s(impl_, me, bytes);
-  type.pack(send_buf, send_s.data(), count);
-  if (my_rank_ == root) {
-    SlabScratch recv_s(impl_, me, bytes * n);
-    gather(send_s.data(), bytes, recv_s.data(), root);
-    // Blocks are dense and rank-ordered in the scratch; one unpack lays
-    // block i down at byte offset i * count * extent.
-    type.unpack(recv_s.data(), recv_buf, count * size());
-  } else {
-    gather(send_s.data(), bytes, nullptr, root);
-  }
+  typed_coll(*this, detail::CollOp::kGather, send_buf, recv_buf, count, type,
+             ReduceOp::kSum, root);
 }
 
 void Comm::scatter(const void* send_buf, int count, const Datatype& type,
                    void* recv_buf, int root) const {
-  const std::size_t bytes = typed_bytes(count, type, "scatter");
-  if (type.contiguous_layout()) {
-    scatter(send_buf, bytes, recv_buf, root);
-    return;
-  }
   check_valid(impl_);
   check_peer(root, size(), "scatter");
-  const int me = my_world();
-  const std::size_t n = static_cast<std::size_t>(size());
-  SlabScratch recv_s(impl_, me, bytes);
-  if (my_rank_ == root) {
-    SlabScratch send_s(impl_, me, bytes * n);
-    type.pack(send_buf, send_s.data(), count * size());
-    scatter(send_s.data(), bytes, recv_s.data(), root);
-  } else {
-    scatter(nullptr, bytes, recv_s.data(), root);
-  }
-  type.unpack(recv_s.data(), recv_buf, count);
+  typed_coll(*this, detail::CollOp::kScatter, send_buf, recv_buf, count,
+             type, ReduceOp::kSum, root);
 }
 
 void Comm::allgather(const void* send_buf, int count, const Datatype& type,
                      void* recv_buf) const {
-  const std::size_t bytes = typed_bytes(count, type, "allgather");
-  if (type.contiguous_layout()) {
-    allgather(send_buf, bytes, recv_buf);
-    return;
-  }
   check_valid(impl_);
-  const int me = my_world();
-  const std::size_t n = static_cast<std::size_t>(size());
-  SlabScratch send_s(impl_, me, bytes);
-  SlabScratch recv_s(impl_, me, bytes * n);
-  type.pack(send_buf, send_s.data(), count);
-  allgather(send_s.data(), bytes, recv_s.data());
-  type.unpack(recv_s.data(), recv_buf, count * size());
+  typed_coll(*this, detail::CollOp::kAllgather, send_buf, recv_buf, count,
+             type, ReduceOp::kSum, 0);
 }
 
 void Comm::alltoall(const void* send_buf, int count, const Datatype& type,
                     void* recv_buf) const {
-  const std::size_t bytes = typed_bytes(count, type, "alltoall");
-  if (type.contiguous_layout()) {
-    alltoall(send_buf, bytes, recv_buf);
-    return;
-  }
   check_valid(impl_);
-  const int me = my_world();
-  const std::size_t n = static_cast<std::size_t>(size());
-  SlabScratch send_s(impl_, me, bytes * n);
-  SlabScratch recv_s(impl_, me, bytes * n);
-  type.pack(send_buf, send_s.data(), count * size());
-  alltoall(send_s.data(), bytes, recv_s.data());
-  type.unpack(recv_s.data(), recv_buf, count * size());
+  typed_coll(*this, detail::CollOp::kAlltoall, send_buf, recv_buf, count,
+             type, ReduceOp::kSum, 0);
 }
 
 void Comm::gatherv(const void* send_buf, std::size_t send_bytes,
@@ -694,11 +578,16 @@ void Comm::gatherv(const void* send_buf, std::size_t send_bytes,
                    std::span<const std::size_t> displs, int root) const {
   check_valid(impl_);
   check_peer(root, size(), "gatherv");
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    detail::gatherv_linear(*this, send_buf, send_bytes, recv_buf, counts,
-                           displs, root);
-  });
+  if (my_rank_ == root) {
+    check_layout(*this, counts, displs, "gatherv");
+    JHPC_REQUIRE(send_bytes == counts[static_cast<std::size_t>(root)],
+                 "gatherv: root send size must equal its count");
+  }
+  detail::CollArgs a =
+      coll_args(*this, detail::CollOp::kGatherv, send_bytes, root);
+  a.counts = counts;
+  a.displs = displs;
+  run_coll(*this, a, send_buf, recv_buf);
 }
 
 void Comm::scatterv(const void* send_buf,
@@ -707,25 +596,30 @@ void Comm::scatterv(const void* send_buf,
                     std::size_t recv_bytes, int root) const {
   check_valid(impl_);
   check_peer(root, size(), "scatterv");
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    detail::scatterv_linear(*this, send_buf, counts, displs, recv_buf,
-                            recv_bytes, root);
-  });
+  if (my_rank_ == root) {
+    check_layout(*this, counts, displs, "scatterv");
+    JHPC_REQUIRE(recv_bytes >= counts[static_cast<std::size_t>(root)],
+                 "scatterv: root receive buffer too small");
+  }
+  detail::CollArgs a =
+      coll_args(*this, detail::CollOp::kScatterv, recv_bytes, root);
+  a.counts = counts;
+  a.displs = displs;
+  run_coll(*this, a, send_buf, recv_buf);
 }
 
 void Comm::allgatherv(const void* send_buf, std::size_t send_bytes,
                       void* recv_buf, std::span<const std::size_t> counts,
                       std::span<const std::size_t> displs) const {
   check_valid(impl_);
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    suite() != CollectiveSuite::kOmpiBasic
-        ? detail::mv2::allgatherv(*this, send_buf, send_bytes, recv_buf,
-                                  counts, displs)
-        : detail::basic::allgatherv(*this, send_buf, send_bytes, recv_buf,
-                                    counts, displs);
-  });
+  check_layout(*this, counts, displs, "allgatherv");
+  JHPC_REQUIRE(send_bytes == counts[static_cast<std::size_t>(my_rank_)],
+               "allgatherv send size must equal my count");
+  detail::CollArgs a =
+      coll_args(*this, detail::CollOp::kAllgatherv, send_bytes);
+  a.counts = counts;
+  a.displs = displs;
+  run_coll(*this, a, send_buf, recv_buf);
 }
 
 void Comm::alltoallv(const void* send_buf,
@@ -735,14 +629,12 @@ void Comm::alltoallv(const void* send_buf,
                      std::span<const std::size_t> recv_counts,
                      std::span<const std::size_t> recv_displs) const {
   check_valid(impl_);
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    suite() != CollectiveSuite::kOmpiBasic
-        ? detail::mv2::alltoallv(*this, send_buf, send_counts, send_displs,
-                                 recv_buf, recv_counts, recv_displs)
-        : detail::basic::alltoallv(*this, send_buf, send_counts, send_displs,
-                                   recv_buf, recv_counts, recv_displs);
-  });
+  detail::CollArgs a = coll_args(*this, detail::CollOp::kAlltoallv);
+  a.scounts = send_counts;
+  a.sdispls = send_displs;
+  a.counts = recv_counts;
+  a.displs = recv_displs;
+  run_coll(*this, a, send_buf, recv_buf);
 }
 
 // --- Communicator management ---------------------------------------------------
@@ -841,28 +733,17 @@ std::int64_t Comm::vtime_ns() const {
 }
 
 // Binomial broadcast of one int from rank 0 on the management tag; used by
-// the context-id agreement above (cannot reuse bcast(): the suite may be
-// "basic" but the agreement must work before the new comm exists, and it
-// must not consume user-visible collective semantics).
+// the context-id agreement above. It cannot go through bcast(): the suite
+// may be "basic", and the agreement must not consume user-visible
+// collective semantics (no span, no coll.* count).
 void Comm::bcast_cid(int* value) const {
   const detail::InternalTagScope tags;
-  const int size = this->size();
-  const int rank = my_rank_;
-  int mask = 1;
-  while (mask < size) {
-    if (rank & mask) {
-      recv(value, sizeof(int), rank - mask, detail::kTagCommMgmt);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (rank + mask < size) {
-      send(value, sizeof(int), rank + mask, detail::kTagCommMgmt);
-    }
-    mask >>= 1;
-  }
+  detail::Schedule s;
+  detail::build(s, detail::CollAlg::kBcastBinomial,
+                coll_args(*this, detail::CollOp::kBcast, sizeof(int)));
+  detail::run_schedule(*this, s, value, value, BasicKind::kByte,
+                       ReduceOp::kSum, detail::CollAlg::kCount,
+                       detail::kTagCommMgmt);
 }
 
 }  // namespace jhpc::minimpi

@@ -3,30 +3,20 @@
 //
 // Each collective decomposes into an intra-node phase over a per-node
 // shared segment (UniverseImpl::hier_segment) and an inter-node phase run
-// among the node leaders with the mv2-shaped point-to-point trees. The
-// intra-node data path is single-copy: receivers memcpy directly out of
-// the publishing rank's live user buffer, which stays pinned (the
-// publisher does not return) until every reader acknowledged via the
-// segment's done flags.
-//
-// Only the collectives below are specialised; the dispatch layer
-// (comm.cpp) falls back to the mv2 suite for everything else, so a hier
-// Universe still serves the full collective API.
+// among the node leaders as a schedule of the shared builders
+// (detail/coll.hpp) over the leader team. The intra-node data path is
+// single-copy: receivers memcpy directly out of the publishing rank's
+// live user buffer, which stays pinned (the publisher does not return)
+// until every reader acknowledged via the segment's done flags.
 #pragma once
 
-#include <cstddef>
-
-#include "jhpc/minimpi/comm.hpp"
+#include "detail/coll.hpp"
 
 namespace jhpc::minimpi::detail::hier {
 
-void barrier(const Comm& c);
-void bcast(const Comm& c, void* buf, std::size_t bytes, int root);
-void reduce(const Comm& c, const void* sbuf, void* rbuf, std::size_t count,
-            BasicKind kind, ReduceOp op, int root);
-void allreduce(const Comm& c, const void* sbuf, void* rbuf,
-               std::size_t count, BasicKind kind, ReduceOp op);
-void gather(const Comm& c, const void* sbuf, std::size_t bpr, void* rbuf,
-            int root);
+/// Run `a` with the hier algorithm when hier specialises its operation
+/// (barrier, bcast, reduce, allreduce, gather) and return true; return
+/// false otherwise, leaving the call to the mv2 selection.
+bool run(const Comm& c, const CollArgs& a, const void* in, void* out);
 
 }  // namespace jhpc::minimpi::detail::hier

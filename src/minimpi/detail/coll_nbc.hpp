@@ -1,13 +1,11 @@
 // Schedule-based nonblocking collectives.
 //
-// Each i-collective compiles, at call time, into a per-rank DAG of
-// rounds: the communication steps of a round are posted together (recvs
-// first), completed together, and only then do the round's local steps
-// (reductions, staging copies) run and the next round post. The shapes
-// mirror the mv2 suite: dissemination ibarrier, binomial ibcast/ireduce,
-// recursive-doubling iallreduce (with the non-power-of-two fold),
-// ring iallgather, pairwise ialltoall; igather/iscatter use the flat
-// fan-in/fan-out schedule (one round, maximal post-time overlap).
+// Each i-collective picks its algorithm through the same selector as the
+// blocking call on the communicator's suite (hier selects like mv2) and
+// compiles it, at call time, into this rank's schedule (detail/coll.hpp):
+// the communication steps of a round are posted together (recvs first),
+// completed together, and only then do the round's local steps run and
+// the next round post.
 //
 // Progress model (MPI weak progress): the transport is push-based — a
 // posted receive is completed by the sender's deliver() and an eager
@@ -27,45 +25,12 @@
 #include <optional>
 #include <vector>
 
-#include "detail/transport.hpp"
+#include "detail/coll.hpp"
 #include "jhpc/minimpi/datatype.hpp"
 #include "jhpc/minimpi/group.hpp"
 #include "jhpc/minimpi/op.hpp"
 
 namespace jhpc::minimpi::detail {
-
-// Tag block for the schedule engine: above the blocking CollTag block,
-// still inside the reserved (>= kTagBase) space. Each operation instance
-// takes one tag from a per-(rank, context) sequence counter — ranks agree
-// because collectives are initiated in the same order per communicator —
-// so concurrent operations on one communicator can never cross-match.
-// Within one operation, MPI's per-(src, comm) non-overtaking order keeps
-// the rounds apart (exactly what the blocking ring algorithms rely on).
-inline constexpr int kTagNbcBase = (1 << 28) + (1 << 12);
-inline constexpr int kNbcTagSpan = 1 << 20;
-
-enum class NbcStepKind : std::uint8_t { kSend, kRecv, kReduce, kCopy };
-
-/// Which buffer a step's offset addresses.
-enum class NbcBuf : std::uint8_t { kUserIn, kUserOut, kScratch };
-
-struct NbcStep {
-  NbcStepKind kind = NbcStepKind::kCopy;
-  int peer = -1;  ///< comm rank (send/recv only)
-  NbcBuf src = NbcBuf::kUserOut;
-  std::size_t src_off = 0;  ///< send payload / reduce input / copy source
-  NbcBuf dst = NbcBuf::kUserOut;
-  std::size_t dst_off = 0;  ///< recv target / reduce accumulator / copy dest
-  std::size_t bytes = 0;    ///< payload bytes (send/recv/copy)
-  std::size_t count = 0;    ///< elements (reduce)
-};
-
-/// One round: `comm` steps are posted together and must all complete
-/// before the `local` steps run, in order, and the next round posts.
-struct NbcRound {
-  std::vector<NbcStep> comm;
-  std::vector<NbcStep> local;
-};
 
 /// The whole in-flight operation; shared between the user's Request
 /// handle and the owning rank's active-schedule registry. Only the
@@ -94,7 +59,7 @@ struct NbcState {
   int unpack_count = 0;
   void* unpack_dst = nullptr;
 
-  std::vector<NbcRound> rounds;
+  Schedule sched;
   std::size_t round = 0;  ///< index of the round being progressed
   bool posted = false;    ///< current round's comm steps are in flight
   /// Virtual time the current round was posted (hist.nbc_round sample).
@@ -106,40 +71,26 @@ struct NbcState {
   /// rethrows `failure`. Set with done so the progress set prunes it.
   bool failed = false;
   std::exception_ptr failure;
+
+  SchedBufs bufs() { return {user_in, user_out, scratch.data()}; }
 };
 
-/// The operations the engine can compile.
-enum class NbcOp {
-  kBarrier,
-  kBcast,
-  kReduce,
-  kAllreduce,
-  kGather,
-  kScatter,
-  kAllgather,
-  kAlltoall,
-};
+/// Compile `a`'s schedule on `c`, register it with the rank's progress
+/// set, post round 0 (and any rounds that complete immediately). `a.op`
+/// is one of barrier, bcast, reduce, allreduce, gather, scatter,
+/// allgather and alltoall.
+std::shared_ptr<NbcState> nbc_start(const Comm& c, const CollArgs& a,
+                                    const void* in, void* out);
 
-/// Compile the schedule, register it with the rank's progress set, post
-/// round 0 (and any rounds that complete immediately). `size` is bytes
-/// for the byte-oriented operations and the element count for
-/// reduce/allreduce; `kind`/`op`/`root` are ignored where meaningless.
-std::shared_ptr<NbcState> nbc_start(UniverseImpl* impl, const Group& group,
-                                    int my_rank, int context_id, NbcOp what,
-                                    const void* send_buf, void* recv_buf,
-                                    std::size_t size, BasicKind kind,
-                                    ReduceOp op, int root);
-
-/// Typed nbc_start: packs the (possibly strided) send-side payload into
-/// schedule-owned staging at initiation — so, unlike the byte forms, the
-/// send buffer may be reused as soon as the call returns — runs the byte
-/// schedule unchanged (all engines stay bit-identical), and scatters the
-/// dense result into the user's strided receive buffer when the schedule
-/// completes. `op` is meaningful for reduce/allreduce only, which also
-/// require type.uniform_leaf().
-std::shared_ptr<NbcState> nbc_start_typed(UniverseImpl* impl,
-                                          const Group& group, int my_rank,
-                                          int context_id, NbcOp what,
+/// Typed nbc_start: a dense layout runs the byte schedule directly. A
+/// strided one packs the send-side payload into schedule-owned staging at
+/// initiation — so, unlike the byte forms, the send buffer may be reused
+/// as soon as the call returns — runs the byte schedule unchanged (all
+/// engines stay bit-identical), and scatters the dense result into the
+/// user's strided receive buffer when the schedule completes. `op` is
+/// meaningful for reduce/allreduce only, which also require
+/// type.uniform_leaf().
+std::shared_ptr<NbcState> nbc_start_typed(const Comm& c, CollOp what,
                                           const void* send_buf,
                                           void* recv_buf, int count,
                                           const Datatype& type, ReduceOp op,

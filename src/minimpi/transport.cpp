@@ -51,14 +51,14 @@ constexpr CollAlgNames kCollAlgNames[] = {
     {"coll.alltoallv.linear", "alltoallv[linear]"},
     {"coll.gatherv.linear", "gatherv[linear]"},
     {"coll.scatterv.linear", "scatterv[linear]"},
-    {"coll.nbc.barrier", "ibarrier[dissemination]"},
-    {"coll.nbc.bcast", "ibcast[binomial]"},
-    {"coll.nbc.reduce", "ireduce[binomial]"},
-    {"coll.nbc.allreduce", "iallreduce[recursive_doubling]"},
-    {"coll.nbc.gather", "igather[fanin]"},
-    {"coll.nbc.scatter", "iscatter[fanout]"},
-    {"coll.nbc.allgather", "iallgather[ring]"},
-    {"coll.nbc.alltoall", "ialltoall[pairwise]"},
+    {"coll.nbc.barrier", "ibarrier"},
+    {"coll.nbc.bcast", "ibcast"},
+    {"coll.nbc.reduce", "ireduce"},
+    {"coll.nbc.allreduce", "iallreduce"},
+    {"coll.nbc.gather", "igather"},
+    {"coll.nbc.scatter", "iscatter"},
+    {"coll.nbc.allgather", "iallgather"},
+    {"coll.nbc.alltoall", "ialltoall"},
     {"coll.hier.barrier", "barrier[hier]"},
     {"coll.hier.bcast", "bcast[hier]"},
     {"coll.hier.reduce", "reduce[hier]"},

@@ -13,7 +13,9 @@
 //              message-sized native copy through Get<Type>ArrayRegion
 //              (always, even for a pure receive) and Set<Type>ArrayRegion
 //              back. Non-blocking array operations are refused.
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <type_traits>
 #include <vector>
 
@@ -91,6 +93,31 @@ class Stage {
         type.native().unpack(staged_.consume(bytes),
                              array.raw_address() + offset_ * sizeof(T),
                              static_cast<int>(bytes / type.size()));
+      }
+    } else {
+      jni_.set_array_region(array, offset_, staged_.size(), staged_.data());
+    }
+  }
+
+  /// finish() for a vectored receive of basic elements: land only the
+  /// blocks of `recv`, so the elements between them keep their values.
+  /// (Per-call staging copied the whole region in, gaps included.)
+  void finish_blocks(JArray<T>& array, const Layout& recv) {
+    if (use_ != Use::kOut) return;
+    if constexpr (kPooled<P>) {
+      staged_.notify_native_write(recv.end);
+      std::vector<std::size_t> order(recv.counts.size());
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return recv.displs[a] < recv.displs[b];
+      });
+      std::size_t at = 0;  // the read cursor, in bytes
+      for (const std::size_t i : order) {
+        if (recv.displs[i] < at) continue;  // overlapping blocks: erroneous
+        staged_.consume(recv.displs[i] - at);
+        staged_.read(array, offset_ + recv.displs[i] / sizeof(T),
+                     recv.counts[i] / sizeof(T));
+        at = recv.displs[i] + recv.counts[i];
       }
     } else {
       jni_.set_array_region(array, offset_, staged_.size(), staged_.data());
@@ -383,7 +410,7 @@ void Comm<P>::gatherv(const JArray<T>& sendbuf, int sendcount,
                 is_root ? Use::kOut : Use::kNone);
   native_.gatherv(s.data(), n * sizeof(T), r.data(), recv.counts,
                   recv.displs, root);
-  r.finish(recvbuf, recv.end, type);
+  r.finish_blocks(recvbuf, recv);
 }
 
 template <VendorPolicy P>
@@ -423,7 +450,7 @@ void Comm<P>::allGatherv(const JArray<T>& sendbuf, int sendcount,
   Stage<P, T> r(*env_, recvbuf, 0, recv.end / sizeof(T), type, Use::kOut);
   native_.allgatherv(s.data(), n * sizeof(T), r.data(), recv.counts,
                      recv.displs);
-  r.finish(recvbuf, recv.end, type);
+  r.finish_blocks(recvbuf, recv);
 }
 
 template <VendorPolicy P>
@@ -443,7 +470,7 @@ void Comm<P>::allToAllv(const JArray<T>& sendbuf,
   Stage<P, T> r(*env_, recvbuf, 0, recv.end / sizeof(T), type, Use::kOut);
   native_.alltoallv(s.data(), send.counts, send.displs, r.data(), recv.counts,
                     recv.displs);
-  r.finish(recvbuf, recv.end, type);
+  r.finish_blocks(recvbuf, recv);
 }
 
 // --- Explicit instantiations: both vendors x the eight Java primitives -------

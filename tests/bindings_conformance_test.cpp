@@ -414,6 +414,79 @@ TYPED_TEST(BindingsConformance, VectoredCollectives) {
   });
 }
 
+TYPED_TEST(BindingsConformance, VectoredReceivesLeaveGapsUntouched) {
+  // Receive arrays start out filled with a sentinel and every block sits
+  // behind a gap: after the call each element outside the blocks must
+  // still hold the sentinel, on both APIs, exactly as natively.
+  this->job([](typename TypeParam::Env& env) {
+    Rank r(env);
+    constexpr jint kSentinel = -7;
+    std::vector<int> counts, displs;
+    std::vector<std::size_t> bcounts, bdispls;
+    int end = 0;
+    for (int i = 0; i < r.n; ++i) {
+      counts.push_back(i + 1);
+      displs.push_back(end + 2);
+      end += i + 3;
+      bcounts.push_back(bytes_of(static_cast<std::size_t>(counts.back())));
+      bdispls.push_back(bytes_of(static_cast<std::size_t>(displs.back())));
+    }
+    const auto total = static_cast<std::size_t>(end + 2);
+    const auto mine = static_cast<std::size_t>(r.me + 1);
+    const V src = pattern(r.me, 7, mine);
+
+    V want(total, kSentinel);
+    r.nat.gatherv(src.data(), bytes_of(mine), want.data(), bcounts, bdispls,
+                  0);
+    r.each_api([&](auto make) {
+      auto s = make(src);
+      auto d = make(V(total, kSentinel));
+      r.w.gatherv(s, r.me + 1, INT, d, counts, displs, 0);
+      if (r.me == 0) {
+        EXPECT_EQ(r.ints(d, total), want) << "gatherv";
+      }
+    });
+
+    want.assign(total, kSentinel);
+    r.nat.allgatherv(src.data(), bytes_of(mine), want.data(), bcounts,
+                     bdispls);
+    r.each_api([&](auto make) {
+      auto s = make(src);
+      auto d = make(V(total, kSentinel));
+      r.w.allGatherv(s, r.me + 1, INT, d, counts, displs);
+      EXPECT_EQ(r.ints(d, total), want) << "allGatherv";
+    });
+
+    // allToAllv: rank i sends (i + j) % 3 + 1 ints to rank j; the receive
+    // side keeps a one-int gap before every block.
+    std::vector<int> sc, sd, rc, rd;
+    std::vector<std::size_t> bsc, bsd, brc, brd;
+    int send_end = 0, recv_end = 0;
+    for (int j = 0; j < r.n; ++j) {
+      sc.push_back((r.me + j) % 3 + 1);
+      sd.push_back(send_end);
+      send_end += sc.back();
+      rc.push_back((j + r.me) % 3 + 1);
+      rd.push_back(recv_end + 1);
+      recv_end += rc.back() + 1;
+      bsc.push_back(bytes_of(static_cast<std::size_t>(sc.back())));
+      bsd.push_back(bytes_of(static_cast<std::size_t>(sd.back())));
+      brc.push_back(bytes_of(static_cast<std::size_t>(rc.back())));
+      brd.push_back(bytes_of(static_cast<std::size_t>(rd.back())));
+    }
+    const V out = pattern(r.me, 8, static_cast<std::size_t>(send_end));
+    const auto in_len = static_cast<std::size_t>(recv_end);
+    V got(in_len, kSentinel);
+    r.nat.alltoallv(out.data(), bsc, bsd, got.data(), brc, brd);
+    r.each_api([&](auto make) {
+      auto s = make(out);
+      auto d = make(V(in_len, kSentinel));
+      r.w.allToAllv(s, sc, sd, INT, d, rc, rd);
+      EXPECT_EQ(r.ints(d, in_len), got) << "allToAllv";
+    });
+  });
+}
+
 TYPED_TEST(BindingsConformance, NonblockingCollectives) {
   this->job([](typename TypeParam::Env& env) {
     Rank r(env);

@@ -1,12 +1,13 @@
-// Differential collective-correctness suite: four engines, one oracle.
+// Differential collective-correctness suite: five engines, one oracle.
 //
 // Every sampled case (comm size, payload size, dtype, op, root) runs
 // through the basic suite, the mv2 suite, the nonblocking schedule
-// engine, AND the topology-aware hier suite, and each rank's output must
-// be bit-identical to a single-threaded scalar oracle — including
-// non-power-of-two comm sizes, zero-size payloads, single-rank comms,
-// multi-node topologies (single-node, one-rank-per-node, and everything
-// between), and (for a sampled subset) under seeded fault injection.
+// engine on both of those suites, AND the topology-aware hier suite, and
+// each rank's output must be bit-identical to a single-threaded scalar
+// oracle — including non-power-of-two comm sizes, zero-size payloads,
+// single-rank comms, multi-node topologies (single-node, one-rank-per-
+// node, and everything between), and (for a sampled subset) under seeded
+// fault injection.
 // Reduction inputs are drawn so every (kind, op) combination is exact
 // and order-independent (small integers for float sums, bounded
 // magnitudes for integer products), so an algorithm is never excused by
@@ -18,19 +19,26 @@
 // wait_all contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "detail/coll.hpp"
+#include "detail/coll_nbc.hpp"
 #include "jhpc/minimpi/minimpi.hpp"
+#include "jhpc/obs/pvar.hpp"
+#include "jhpc/support/clock.hpp"
 #include "jhpc/support/error.hpp"
 
 namespace jhpc::minimpi {
 namespace {
 
-enum class Engine { kBasic, kMv2, kNbc, kHier };
+enum class Engine { kBasic, kMv2, kNbc, kNbcBasic, kHier };
 
 const char* engine_name(Engine e) {
   switch (e) {
@@ -40,6 +48,8 @@ const char* engine_name(Engine e) {
       return "mv2";
     case Engine::kNbc:
       return "nbc";
+    case Engine::kNbcBasic:
+      return "nbc-basic";
     case Engine::kHier:
       return "hier";
   }
@@ -47,16 +57,20 @@ const char* engine_name(Engine e) {
 }
 
 constexpr Engine kEngines[] = {Engine::kBasic, Engine::kMv2, Engine::kNbc,
-                               Engine::kHier};
+                               Engine::kNbcBasic, Engine::kHier};
+
+/// The nonblocking engines run the i-collectives, on the suite below.
+bool is_nbc(Engine e) { return e == Engine::kNbc || e == Engine::kNbcBasic; }
 
 CollectiveSuite suite_of(Engine e) {
   switch (e) {
     case Engine::kBasic:
+    case Engine::kNbcBasic:
       return CollectiveSuite::kOmpiBasic;
     case Engine::kHier:
       return CollectiveSuite::kHier;
     default:
-      return CollectiveSuite::kMv2;  // nbc schedules run on the mv2 suite
+      return CollectiveSuite::kMv2;
   }
 }
 
@@ -189,7 +203,7 @@ CaseResult run_case(Engine eng, CollOp what, int ranks, std::size_t size,
       case CollOp::kBcast: {
         out = r == root ? byte_input(case_seed, root, size)
                         : std::vector<std::uint8_t>(size, 0xee);
-        if (eng == Engine::kNbc) {
+        if (is_nbc(eng)) {
           world.ibcast(out.data(), out.size(), root).wait();
         } else {
           world.bcast(out.data(), out.size(), root);
@@ -201,7 +215,7 @@ CaseResult run_case(Engine eng, CollOp what, int ranks, std::size_t size,
         in = typed_input(case_seed, r, size, kind);
         out.assign(block, 0xee);
         if (what == CollOp::kReduce) {
-          if (eng == Engine::kNbc) {
+          if (is_nbc(eng)) {
             world.ireduce(in.data(), out.data(), size, kind, op, root)
                 .wait();
           } else {
@@ -210,7 +224,7 @@ CaseResult run_case(Engine eng, CollOp what, int ranks, std::size_t size,
           // Only the root's buffer is defined after a reduce.
           if (r != root) out.assign(block, 0xee);
         } else {
-          if (eng == Engine::kNbc) {
+          if (is_nbc(eng)) {
             world.iallreduce(in.data(), out.data(), size, kind, op).wait();
           } else {
             world.allreduce(in.data(), out.data(), size, kind, op);
@@ -221,7 +235,7 @@ CaseResult run_case(Engine eng, CollOp what, int ranks, std::size_t size,
       case CollOp::kGather: {
         in = byte_input(case_seed, r, size);
         out.assign(r == root ? size * n : 0, 0xee);
-        if (eng == Engine::kNbc) {
+        if (is_nbc(eng)) {
           world.igather(in.data(), size, out.data(), root).wait();
         } else {
           world.gather(in.data(), size, out.data(), root);
@@ -232,7 +246,7 @@ CaseResult run_case(Engine eng, CollOp what, int ranks, std::size_t size,
         in = r == root ? byte_input(case_seed, root, size * n)
                        : std::vector<std::uint8_t>{};
         out.assign(size, 0xee);
-        if (eng == Engine::kNbc) {
+        if (is_nbc(eng)) {
           world.iscatter(in.data(), size, out.data(), root).wait();
         } else {
           world.scatter(in.data(), size, out.data(), root);
@@ -242,7 +256,7 @@ CaseResult run_case(Engine eng, CollOp what, int ranks, std::size_t size,
       case CollOp::kAllgather: {
         in = byte_input(case_seed, r, size);
         out.assign(size * n, 0xee);
-        if (eng == Engine::kNbc) {
+        if (is_nbc(eng)) {
           world.iallgather(in.data(), size, out.data()).wait();
         } else {
           world.allgather(in.data(), size, out.data());
@@ -252,7 +266,7 @@ CaseResult run_case(Engine eng, CollOp what, int ranks, std::size_t size,
       case CollOp::kAlltoall: {
         in = byte_input(case_seed, r, size * n);
         out.assign(size * n, 0xee);
-        if (eng == Engine::kNbc) {
+        if (is_nbc(eng)) {
           world.ialltoall(in.data(), size, out.data()).wait();
         } else {
           world.alltoall(in.data(), size, out.data());
@@ -329,7 +343,7 @@ CaseResult oracle_case(CollOp what, int ranks, std::size_t size,
         ins[r] = byte_input(case_seed, static_cast<int>(r), size * n);
       for (std::size_t r = 0; r < n; ++r) {
         res.out[r].resize(size * n);
-        for (std::size_t s = 0; s < n; ++s) {
+        for (std::size_t s = 0; s < n && size > 0; ++s) {
           std::memcpy(res.out[r].data() + s * size,
                       ins[s].data() + r * size, size);
         }
@@ -455,7 +469,7 @@ CaseResult run_typed_case(Engine eng, CollOp what, int ranks, int count,
       case CollOp::kBcast: {
         out = r == root ? raw_from_dense(dt, cnt, dense_in(root, cnt))
                         : poison_raw(dt, cnt);
-        if (eng == Engine::kNbc) {
+        if (is_nbc(eng)) {
           world.ibcast(out.data(), count, dt, root).wait();
         } else {
           world.bcast(out.data(), count, dt, root);
@@ -467,7 +481,7 @@ CaseResult run_typed_case(Engine eng, CollOp what, int ranks, int count,
         in = raw_from_dense(dt, cnt, dense_in(r, cnt));
         out = poison_raw(dt, cnt);
         if (what == CollOp::kReduce) {
-          if (eng == Engine::kNbc) {
+          if (is_nbc(eng)) {
             world.ireduce(in.data(), out.data(), count, dt, op, root).wait();
           } else {
             world.reduce(in.data(), out.data(), count, dt, op, root);
@@ -475,7 +489,7 @@ CaseResult run_typed_case(Engine eng, CollOp what, int ranks, int count,
           // Only the root's buffer is defined after a reduce.
           if (r != root) out = poison_raw(dt, cnt);
         } else {
-          if (eng == Engine::kNbc) {
+          if (is_nbc(eng)) {
             world.iallreduce(in.data(), out.data(), count, dt, op).wait();
           } else {
             world.allreduce(in.data(), out.data(), count, dt, op);
@@ -486,7 +500,7 @@ CaseResult run_typed_case(Engine eng, CollOp what, int ranks, int count,
       case CollOp::kGather: {
         in = raw_from_dense(dt, cnt, dense_in(r, cnt));
         out = r == root ? poison_raw(dt, cnt * n) : std::vector<std::uint8_t>{};
-        if (eng == Engine::kNbc) {
+        if (is_nbc(eng)) {
           world.igather(in.data(), count, dt, out.data(), root).wait();
         } else {
           world.gather(in.data(), count, dt, out.data(), root);
@@ -497,7 +511,7 @@ CaseResult run_typed_case(Engine eng, CollOp what, int ranks, int count,
         in = r == root ? raw_from_dense(dt, cnt * n, dense_in(root, cnt * n))
                        : std::vector<std::uint8_t>{};
         out = poison_raw(dt, cnt);
-        if (eng == Engine::kNbc) {
+        if (is_nbc(eng)) {
           world.iscatter(in.data(), count, dt, out.data(), root).wait();
         } else {
           world.scatter(in.data(), count, dt, out.data(), root);
@@ -507,7 +521,7 @@ CaseResult run_typed_case(Engine eng, CollOp what, int ranks, int count,
       case CollOp::kAllgather: {
         in = raw_from_dense(dt, cnt, dense_in(r, cnt));
         out = poison_raw(dt, cnt * n);
-        if (eng == Engine::kNbc) {
+        if (is_nbc(eng)) {
           world.iallgather(in.data(), count, dt, out.data()).wait();
         } else {
           world.allgather(in.data(), count, dt, out.data());
@@ -517,7 +531,7 @@ CaseResult run_typed_case(Engine eng, CollOp what, int ranks, int count,
       case CollOp::kAlltoall: {
         in = raw_from_dense(dt, cnt * n, dense_in(r, cnt * n));
         out = poison_raw(dt, cnt * n);
-        if (eng == Engine::kNbc) {
+        if (is_nbc(eng)) {
           world.ialltoall(in.data(), count, dt, out.data()).wait();
         } else {
           world.alltoall(in.data(), count, dt, out.data());
@@ -829,6 +843,45 @@ TEST(CollDiffTest, NbcOverlapsComputeAndTestPolls) {
   });
 }
 
+TEST(CollDiffTest, NbcLocalStepsAreChargedOnceUnderTheRealClock) {
+  // A schedule's copies and reductions are rank CPU like any other: the
+  // virtual clock must fold them in exactly once. 4 Mi doubles make the
+  // local steps a large share of the call; a near-infinite link bandwidth
+  // takes the modelled rendezvous serialization out of the picture, and a
+  // raised recursive-doubling threshold keeps the one-exchange shape.
+  // Whichever rank matches a rendezvous does its payload copy, so one
+  // rank can wait out the other's copies: the bound is on the virtual
+  // time of both ranks against the CPU both spent.
+  UniverseConfig c = diff_cfg(2, CollectiveSuite::kMv2);
+  c.fabric.inter_bandwidth_mbps = 1e9;
+  c.allreduce_rd_max = std::size_t{64} << 20;
+  std::int64_t vt[2] = {0, 0};
+  std::int64_t cpu[2] = {0, 0};
+  Universe::launch(c, [&](Comm& world) {
+    const std::size_t count = std::size_t{4} << 20;
+    std::vector<double> in(count, world.rank() + 1.0);
+    std::vector<double> out(count, 0.0);
+    // A warm-up call first, so the measured one reuses warm heap pages.
+    world.iallreduce(in.data(), out.data(), count, BasicKind::kDouble,
+                     ReduceOp::kSum)
+        .wait();
+    world.barrier();
+    const std::int64_t v0 = world.vtime_ns();
+    const std::int64_t c0 = thread_cpu_ns();
+    world.iallreduce(in.data(), out.data(), count, BasicKind::kDouble,
+                     ReduceOp::kSum)
+        .wait();
+    const std::int64_t v1 = world.vtime_ns();
+    cpu[world.rank()] = thread_cpu_ns() - c0;
+    vt[world.rank()] = v1 - v0;
+    EXPECT_EQ(out[count - 1], 3.0);
+  });
+  EXPECT_LE(static_cast<double>(vt[0] + vt[1]),
+            1.3 * static_cast<double>(cpu[0] + cpu[1]))
+      << "vtime advanced " << vt[0] << " / " << vt[1]
+      << " ns over thread CPU " << cpu[0] << " / " << cpu[1] << " ns";
+}
+
 TEST(CollDiffTest, ConcurrentNbcOpsOnOneCommCompleteOutOfOrder) {
   // Two collectives in flight at once, waited in the "wrong" order on
   // half the ranks: the progress engine must drive both.
@@ -907,6 +960,361 @@ TEST(CollDiffTest, NbcOnDupAndSplitCommunicators) {
   });
 }
 
+// --- Deterministic-clock golden --------------------------------------------
+//
+// Every blocking algorithm of basic, mv2 and hier, plus the nonblocking
+// engine on mv2, runs under the deterministic clock at 1..8 ranks and at
+// sizes on both sides of every mv2 threshold and of the 16 KiB eager
+// limit. Topologies are those where each directed inter-node link has a
+// single sender, so link contention cannot depend on thread timing: one
+// node, one rank per node, and (hier's own collectives only) two ranks
+// per node, where only the node leaders cross nodes. A row records each
+// rank's final vtime_ns with observability off and its coll.* pvar counts
+// with observability on. The committed table pins both byte for byte;
+// every run also writes the table it produced to coll_golden.actual.txt
+// in the working directory, so an intended change is a reviewed diff of
+// the two files.
+
+enum class GoldenOp {
+  kBarrier,
+  kBcast,
+  kReduce,
+  kAllreduce,
+  kReduceScatter,
+  kScan,
+  kGather,
+  kScatter,
+  kAllgather,
+  kAlltoall,
+  kGatherv,
+  kScatterv,
+  kAllgatherv,
+  kAlltoallv,
+};
+
+constexpr GoldenOp kGoldenOps[] = {
+    GoldenOp::kBarrier,   GoldenOp::kBcast,     GoldenOp::kReduce,
+    GoldenOp::kAllreduce, GoldenOp::kReduceScatter, GoldenOp::kScan,
+    GoldenOp::kGather,    GoldenOp::kScatter,   GoldenOp::kAllgather,
+    GoldenOp::kAlltoall,  GoldenOp::kGatherv,   GoldenOp::kScatterv,
+    GoldenOp::kAllgatherv, GoldenOp::kAlltoallv,
+};
+
+const char* golden_op_name(GoldenOp op, bool nbc) {
+  constexpr const char* kNames[] = {
+      "barrier",   "bcast",   "reduce",    "allreduce", "reduce_scatter",
+      "scan",      "gather",  "scatter",   "allgather", "alltoall",
+      "gatherv",   "scatterv", "allgatherv", "alltoallv"};
+  constexpr const char* kNbcNames[] = {
+      "ibarrier", "ibcast",  "ireduce",    "iallreduce", "",
+      "",         "igather", "iscatter",   "iallgather", "ialltoall"};
+  const auto i = static_cast<std::size_t>(op);
+  return nbc ? kNbcNames[i] : kNames[i];
+}
+
+/// Operations with a nonblocking form.
+bool golden_has_nbc(GoldenOp op) {
+  return op != GoldenOp::kReduceScatter && op != GoldenOp::kScan &&
+         op < GoldenOp::kGatherv;
+}
+
+/// Operations hier runs itself (the rest fall back to mv2's algorithms,
+/// which cross nodes from every rank).
+bool golden_hier_own(GoldenOp op) {
+  return op == GoldenOp::kBarrier || op == GoldenOp::kBcast ||
+         op == GoldenOp::kReduce || op == GoldenOp::kAllreduce ||
+         op == GoldenOp::kGather;
+}
+
+/// Thresholds of the nonblocking rows: a quarter of the defaults, so both
+/// sides of each fit under the eager limit. A round that posts several
+/// rendezvous sends at once is timed by whichever receiver posts first,
+/// so nonblocking fan-outs (ibcast, iscatter) stay eager here.
+constexpr std::size_t kNbcBcastMax = 4096;
+constexpr std::size_t kNbcAllreduceMax = 4096;
+constexpr std::size_t kNbcAllgatherMax = 8192;
+
+/// Sizes of one op on an n-rank comm, in the op's own unit: bytes (bcast),
+/// bytes per rank (gather, scatter, allgather, alltoall), doubles (the
+/// reductions) or a block-size pattern (the vectored ops).
+std::vector<std::size_t> golden_sizes(GoldenOp op, int n, bool nbc) {
+  if (nbc) {
+    switch (op) {
+      case GoldenOp::kBcast:
+        return {8, kNbcBcastMax, kNbcBcastMax + 1};
+      case GoldenOp::kAllreduce:
+        return {1, kNbcAllreduceMax / 8, kNbcAllreduceMax / 8 + 1, 20000};
+      case GoldenOp::kScatter:
+        return {1, 2048};
+      case GoldenOp::kAllgather: {
+        const std::size_t rd = kNbcAllgatherMax / static_cast<std::size_t>(n);
+        return {1, rd, rd + 1, 16385};
+      }
+      default:
+        break;
+    }
+  }
+  switch (op) {
+    case GoldenOp::kBarrier:
+      return {0};
+    case GoldenOp::kBcast:
+      // bcast_binomial_max = eager limit = 16 KiB; 140000 B puts
+      // scatter-ring chunks past the eager limit on 8 ranks.
+      return {8, 16384, 16385, 140000};
+    case GoldenOp::kReduce:
+      return {1, 2048, 2049};
+    case GoldenOp::kAllreduce:
+      // allreduce_rd_max = 2048 doubles; 20000 doubles puts ring chunks
+      // past the eager limit.
+      return {1, 2048, 2049, 20000};
+    case GoldenOp::kReduceScatter:
+    case GoldenOp::kScan:
+      return {1, 2049};
+    case GoldenOp::kGather:
+    case GoldenOp::kScatter:
+      return {1, 2048, 16385};
+    case GoldenOp::kAllgather: {
+      // allgather_rd_max = 32 KiB across the whole comm.
+      const std::size_t rd = 32768 / static_cast<std::size_t>(n);
+      std::vector<std::size_t> v{1, rd, rd + 1};
+      if (rd + 1 != 16385) v.push_back(16385);
+      return v;
+    }
+    case GoldenOp::kAlltoall:
+      return {1, 16385};
+    default:
+      return {0, 1};  // small blocks; blocks straddling the eager limit
+  }
+}
+
+/// Bytes rank `from` sends to rank `to` in a vectored golden row.
+std::size_t golden_vcount(std::size_t pattern, int from, int to) {
+  return (pattern == 0 ? 1 : 16380) +
+         static_cast<std::size_t>((3 * from + 5 * to) % 7);
+}
+
+/// Counts and gapped displacements of a vectored layout.
+struct VLayout {
+  std::vector<std::size_t> counts, displs;
+  std::size_t span = 0;
+};
+
+template <typename CountOf>
+VLayout golden_layout(int n, CountOf count_of) {
+  VLayout l;
+  for (int r = 0; r < n; ++r) {
+    l.counts.push_back(count_of(r));
+    l.displs.push_back(l.span + 3);
+    l.span += l.counts.back() + 3;
+  }
+  return l;
+}
+
+void run_golden_op(Comm& w, GoldenOp op, bool nbc, std::size_t size) {
+  const int n = w.size();
+  const int me = w.rank();
+  const int root = n / 2;
+  const auto un = static_cast<std::size_t>(n);
+  const bool red = op == GoldenOp::kReduce || op == GoldenOp::kAllreduce ||
+                   op == GoldenOp::kReduceScatter || op == GoldenOp::kScan;
+  const std::size_t per_rank = op == GoldenOp::kBcast ? 1 : un;
+  std::vector<double> din(red ? size * un : 0, me + 1.0);
+  std::vector<double> dout(din.size());
+  std::vector<std::uint8_t> in(red ? 0 : size * per_rank,
+                               static_cast<std::uint8_t>(me));
+  std::vector<std::uint8_t> out(in.size());
+  switch (op) {
+    case GoldenOp::kBarrier:
+      nbc ? w.ibarrier().wait() : w.barrier();
+      break;
+    case GoldenOp::kBcast:
+      nbc ? w.ibcast(out.data(), size, root).wait()
+          : w.bcast(out.data(), size, root);
+      break;
+    case GoldenOp::kReduce:
+      nbc ? w.ireduce(din.data(), dout.data(), size, BasicKind::kDouble,
+                      ReduceOp::kSum, root)
+                .wait()
+          : w.reduce(din.data(), dout.data(), size, BasicKind::kDouble,
+                     ReduceOp::kSum, root);
+      break;
+    case GoldenOp::kAllreduce:
+      nbc ? w.iallreduce(din.data(), dout.data(), size, BasicKind::kDouble,
+                         ReduceOp::kSum)
+                .wait()
+          : w.allreduce(din.data(), dout.data(), size, BasicKind::kDouble,
+                        ReduceOp::kSum);
+      break;
+    case GoldenOp::kReduceScatter:
+      w.reduce_scatter_block(din.data(), dout.data(), size,
+                             BasicKind::kDouble, ReduceOp::kSum);
+      break;
+    case GoldenOp::kScan:
+      w.scan(din.data(), dout.data(), size, BasicKind::kDouble,
+             ReduceOp::kSum);
+      break;
+    case GoldenOp::kGather:
+      nbc ? w.igather(in.data(), size, out.data(), root).wait()
+          : w.gather(in.data(), size, out.data(), root);
+      break;
+    case GoldenOp::kScatter:
+      nbc ? w.iscatter(in.data(), size, out.data(), root).wait()
+          : w.scatter(in.data(), size, out.data(), root);
+      break;
+    case GoldenOp::kAllgather:
+      nbc ? w.iallgather(in.data(), size, out.data()).wait()
+          : w.allgather(in.data(), size, out.data());
+      break;
+    case GoldenOp::kAlltoall:
+      nbc ? w.ialltoall(in.data(), size, out.data()).wait()
+          : w.alltoall(in.data(), size, out.data());
+      break;
+    case GoldenOp::kGatherv: {
+      const VLayout l = golden_layout(
+          n, [&](int r) { return golden_vcount(size, r, root); });
+      std::vector<std::uint8_t> s(l.counts[static_cast<std::size_t>(me)]);
+      std::vector<std::uint8_t> r(l.span);
+      w.gatherv(s.data(), s.size(), r.data(), l.counts, l.displs, root);
+      break;
+    }
+    case GoldenOp::kScatterv: {
+      const VLayout l = golden_layout(
+          n, [&](int r) { return golden_vcount(size, root, r); });
+      std::vector<std::uint8_t> s(l.span);
+      std::vector<std::uint8_t> r(l.counts[static_cast<std::size_t>(me)]);
+      w.scatterv(s.data(), l.counts, l.displs, r.data(), r.size(), root);
+      break;
+    }
+    case GoldenOp::kAllgatherv: {
+      const VLayout l =
+          golden_layout(n, [&](int r) { return golden_vcount(size, r, 0); });
+      std::vector<std::uint8_t> s(l.counts[static_cast<std::size_t>(me)]);
+      std::vector<std::uint8_t> r(l.span);
+      w.allgatherv(s.data(), s.size(), r.data(), l.counts, l.displs);
+      break;
+    }
+    case GoldenOp::kAlltoallv: {
+      const VLayout sl = golden_layout(
+          n, [&](int r) { return golden_vcount(size, me, r); });
+      const VLayout rl = golden_layout(
+          n, [&](int r) { return golden_vcount(size, r, me); });
+      std::vector<std::uint8_t> s(sl.span);
+      std::vector<std::uint8_t> r(rl.span);
+      w.alltoallv(s.data(), sl.counts, sl.displs, r.data(), rl.counts,
+                  rl.displs);
+      break;
+    }
+  }
+}
+
+/// "<engine> <op> n=<ranks> ppn=<ppn> size=<size> vt=<per rank> <pvar>=
+/// <per rank>...", listing every coll.* pvar some rank moved.
+std::vector<std::string> golden_table() {
+  struct Eng {
+    const char* name;
+    CollectiveSuite suite;
+    bool nbc;
+  };
+  const Eng engines[] = {{"basic", CollectiveSuite::kOmpiBasic, false},
+                         {"mv2", CollectiveSuite::kMv2, false},
+                         {"hier", CollectiveSuite::kHier, false},
+                         {"nbc", CollectiveSuite::kMv2, true}};
+  std::vector<std::string> rows;
+  for (const Eng& eng : engines) {
+    for (int n = 1; n <= 8; ++n) {
+      for (const int ppn : {0, 1, 2}) {
+        const bool hier = eng.suite == CollectiveSuite::kHier;
+        if ((ppn == 2 && !hier) || (n == 1 && ppn != 0)) continue;
+        UniverseConfig cfg;
+        cfg.world_size = n;
+        cfg.suite = eng.suite;
+        cfg.fabric.ranks_per_node = ppn;
+        cfg.deterministic_clock = true;
+        cfg.obs = obs::ObsConfig{};
+        if (eng.nbc) {
+          cfg.bcast_binomial_max = kNbcBcastMax;
+          cfg.allreduce_rd_max = kNbcAllreduceMax;
+          cfg.allgather_rd_max = kNbcAllgatherMax;
+        }
+        Universe off(cfg);
+        cfg.obs.pvars = true;
+        cfg.obs.quiet = true;
+        Universe on(cfg);
+        for (const GoldenOp op : kGoldenOps) {
+          if (eng.nbc && !golden_has_nbc(op)) continue;
+          if (ppn == 2 && !golden_hier_own(op)) continue;
+          for (const std::size_t size : golden_sizes(op, n, eng.nbc)) {
+            std::vector<std::int64_t> vt(static_cast<std::size_t>(n));
+            off.run([&](Comm& w) {
+              run_golden_op(w, op, eng.nbc, size);
+              vt[static_cast<std::size_t>(w.rank())] = w.vtime_ns();
+            });
+            const obs::PvarRegistry* reg = nullptr;
+            on.run([&](Comm& w) {
+              run_golden_op(w, op, eng.nbc, size);
+              if (w.rank() == 0) reg = w.pvars();
+            });
+            std::string row = std::string(eng.name) + " " +
+                              golden_op_name(op, eng.nbc) +
+                              " n=" + std::to_string(n) +
+                              " ppn=" + std::to_string(ppn) +
+                              " size=" + std::to_string(size) + " vt=";
+            for (int r = 0; r < n; ++r) {
+              row += (r == 0 ? "" : ",") +
+                     std::to_string(vt[static_cast<std::size_t>(r)]);
+            }
+            for (const auto& p : reg->snapshot()) {
+              if (p.name.rfind("coll.", 0) != 0 || p.total == 0) continue;
+              row += " " + p.name + "=";
+              for (int r = 0; r < n; ++r) {
+                row += (r == 0 ? "" : ",") +
+                       std::to_string(p.values[static_cast<std::size_t>(r)]);
+              }
+            }
+            rows.push_back(std::move(row));
+          }
+        }
+      }
+    }
+  }
+  return rows;
+}
+
+TEST(CollGoldenTest, DetClockVtimeAndCollPvarsMatchTable) {
+  const std::vector<std::string> got = golden_table();
+  {
+    std::ofstream actual("coll_golden.actual.txt");
+    for (const std::string& row : got) actual << row << '\n';
+  }
+  // Rows are keyed by everything before " vt=".
+  auto key_of = [](const std::string& row) {
+    return row.substr(0, row.find(" vt="));
+  };
+  std::map<std::string, std::string> want;
+  std::ifstream table(JHPC_COLL_GOLDEN_TABLE);
+  ASSERT_TRUE(table.good()) << "missing " << JHPC_COLL_GOLDEN_TABLE;
+  for (std::string line; std::getline(table, line);) {
+    if (!line.empty()) want[key_of(line)] = line;
+  }
+  int mismatches = 0;
+  for (const std::string& row : got) {
+    const auto it = want.find(key_of(row));
+    if (it != want.end() && it->second == row) {
+      want.erase(it);
+      continue;
+    }
+    if (++mismatches <= 20) {
+      ADD_FAILURE() << "golden row differs\n  want: "
+                    << (it == want.end() ? "(none)" : it->second)
+                    << "\n  got:  " << row;
+    }
+    if (it != want.end()) want.erase(it);
+  }
+  EXPECT_EQ(mismatches, 0) << "rows differing from " << JHPC_COLL_GOLDEN_TABLE
+                           << " (see coll_golden.actual.txt)";
+  EXPECT_TRUE(want.empty()) << want.size() << " table rows were not produced";
+}
+
 // --- User-tag reservation regression ---------------------------------------
 
 TEST(TagReservationTest, MaxUserTagStillWorks) {
@@ -938,6 +1346,16 @@ TEST(TagReservationTest, ReservedTagsThrowForUserTraffic) {
     // Collectives still own the reserved space internally.
     world.barrier();
   });
+}
+
+TEST(TagReservationTest, WindowSyncTagsStayClearOfTheNbcBlock) {
+  // Window w's sync tokens take kTagWinSync + 2w and kTagWinSync + 2w + 1,
+  // open-ended upward, so the window block must start above every tag a
+  // nonblocking-collective round can use; the fixed collective tags stay
+  // below the NBC block.
+  EXPECT_GE(detail::kTagWinSync, detail::kTagNbcBase + detail::kNbcTagSpan);
+  EXPECT_LT(detail::kTagCommMgmt, detail::kTagNbcBase);
+  EXPECT_LT(detail::kTagHierRootXfer, detail::kTagNbcBase);
 }
 
 TEST(TagReservationTest, NegativeTagStillRejected) {

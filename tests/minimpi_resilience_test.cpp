@@ -217,6 +217,7 @@ TEST(ResilienceNbcTest, PendingScheduleFailsAndCommIsPoisoned) {
 TEST(ResilienceWaitTest, WaitAllCompletesAliveThenSurfacesFailure) {
   UniverseConfig c = kill_cfg(3, {{2, 0}});
   std::atomic<bool> checked{false};
+  std::atomic<bool> posted{false};
   Universe::launch(c, [&](Comm& world) {
     world.set_errhandler(Errhandler::kErrorsReturn);
     if (world.rank() == 1) {
@@ -225,7 +226,9 @@ TEST(ResilienceWaitTest, WaitAllCompletesAliveThenSurfacesFailure) {
       return;
     }
     if (world.rank() != 0) {
-      // Rank 2: die at the first transport entry (SPMD recv).
+      // Rank 2: die at the first transport entry (SPMD recv), once rank 0
+      // has posted — a receive posted after the death throws at the post.
+      while (!posted.load()) std::this_thread::yield();
       char b = 0;
       world.recv(&b, 1, 0, 99);
       return;
@@ -234,6 +237,7 @@ TEST(ResilienceWaitTest, WaitAllCompletesAliveThenSurfacesFailure) {
     std::vector<Request> reqs;
     reqs.push_back(world.irecv(&from_alive, 1, 1, 5));
     reqs.push_back(world.irecv(&from_dead, 1, 2, 6));
+    posted.store(true);
     try {
       Request::wait_all(reqs);
       ADD_FAILURE() << "wait_all completed over a dead sender";
@@ -250,6 +254,7 @@ TEST(ResilienceWaitTest, WaitAllCompletesAliveThenSurfacesFailure) {
 TEST(ResilienceWaitTest, WaitAnyEitherCompletesAliveOrThrows) {
   UniverseConfig c = kill_cfg(3, {{2, 0}});
   std::atomic<bool> checked{false};
+  std::atomic<bool> posted{false};
   Universe::launch(c, [&](Comm& world) {
     world.set_errhandler(Errhandler::kErrorsReturn);
     if (world.rank() == 1) {
@@ -258,6 +263,7 @@ TEST(ResilienceWaitTest, WaitAnyEitherCompletesAliveOrThrows) {
       return;
     }
     if (world.rank() != 0) {
+      while (!posted.load()) std::this_thread::yield();
       char b = 0;
       world.recv(&b, 1, 0, 99);
       return;
@@ -266,6 +272,7 @@ TEST(ResilienceWaitTest, WaitAnyEitherCompletesAliveOrThrows) {
     std::vector<Request> reqs;
     reqs.push_back(world.irecv(&from_dead, 1, 2, 6));
     reqs.push_back(world.irecv(&from_alive, 1, 1, 5));
+    posted.store(true);
     // Both outcomes are legal: the failure may surface before or after
     // the alive completion, but the alive payload must never be lost and
     // the dead request must never complete.
