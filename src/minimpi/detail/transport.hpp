@@ -214,60 +214,88 @@ class ResilienceScope {
   static bool active();
 };
 
+/// Modelled cost of a dense eager payload copy, ns per KiB. Set from the
+/// memcpy rate of the reference host (a 4-core Xeon VM), where perfbench's
+/// minijvm.jni.array_copy_ns_per_kib reads 24-41 ns/KiB.
+inline constexpr std::int64_t kEagerCopyNsPerKiB = 29;
+
 /// Per-rank virtual clock.
 ///
 /// `vclock` is the rank's simulated time: it advances by (a) the real CPU
 /// time the rank thread consumes (measured with CLOCK_THREAD_CPUTIME_ID,
-/// so parked waits and preemption by other rank threads do not count) and
-/// (b) modelled network delays from the fabric. Because each rank's CPU
-/// is metered separately, N rank threads on one physical core behave —
-/// in virtual time — like N ranks on N cores: tree collectives show their
-/// real critical path, bandwidth saturates at the modelled link rate.
-/// Only the owning rank thread mutates its clock (receiver-side jumps are
-/// applied by the owner when it observes a completion).
+/// so parked waits and preemption by other rank threads do not count),
+/// (b) modelled costs (network delays from the fabric, dense eager
+/// copies). Because each rank's CPU is metered separately, N rank threads
+/// on one physical core behave — in virtual time — like N ranks on N
+/// cores: tree collectives show their real critical path, bandwidth
+/// saturates at the modelled link rate. Only the owning rank thread
+/// mutates its clock (receiver-side jumps are applied by the owner when it
+/// observes a completion).
+///
+/// The two-sided transport's clock rule (CallClock): one read at call
+/// entry; dense eager copies charged from the copy model, not measured;
+/// and a second read at exit only when the call blocked on the host. A
+/// call that did not block leaves its host work to the next entry read,
+/// so an uncontended eager message costs one read per side.
 struct RankClock {
   std::int64_t vclock = 0;
   std::int64_t last_cpu = 0;
   /// False in deterministic-clock mode (UniverseConfig::
-  /// deterministic_clock): real CPU time is not folded in, so the clock
-  /// advances only by modelled costs and runs are bit-reproducible.
+  /// deterministic_clock): real CPU time is not folded in and copies are
+  /// not charged, so the clock advances only by modelled network costs
+  /// and runs are bit-reproducible.
   bool cpu_passthrough = true;
 
   /// Fold the CPU consumed since the last sync point into virtual time.
   /// Called at transport-call ENTRY: it charges the user-region work
   /// (application compute, bindings copies, JNI emulation) done since the
-  /// previous transport call returned. Must run on the owning thread.
+  /// previous sync point. A negative delta (a modelled copy credited more
+  /// than the CPU since) charges nothing: the clock never moves backward.
+  /// Must run on the owning thread.
   void advance_cpu() {
     if (!cpu_passthrough) return;
     const std::int64_t cpu = jhpc::thread_cpu_ns();
-    vclock += cpu - last_cpu;
+    if (cpu > last_cpu) vclock += cpu - last_cpu;
     last_cpu = cpu;
   }
   /// Discard CPU consumed since the last sync point WITHOUT charging it.
-  /// Called at transport-call EXIT so that lock contention, futex wakeups
-  /// and scheduler artifacts of running many rank threads on few cores do
-  /// not pollute the virtual clock; the real work a call performs
-  /// (payload copies) is charged explicitly via charge()/ChargedSection.
+  /// Called at the exit of a call that blocked on the host, so that lock
+  /// contention, futex wakeups and scheduler artifacts of running many
+  /// rank threads on few cores do not pollute the virtual clock.
   void resync_cpu() {
     if (cpu_passthrough) last_cpu = jhpc::thread_cpu_ns();
   }
   /// Explicitly add `ns` of modelled or measured work.
   void charge(std::int64_t ns) { vclock += ns; }
+  /// Charge a dense eager copy of `bytes` from the copy model, and credit
+  /// the same amount to last_cpu so that the next entry read does not
+  /// charge the real memcpy a second time.
+  void charge_copy(std::size_t bytes) {
+    if (!cpu_passthrough) return;
+    const std::int64_t ns =
+        static_cast<std::int64_t>(bytes) * kEagerCopyNsPerKiB / 1024;
+    vclock += ns;
+    last_cpu += ns;
+  }
   /// Jump forward to `t` if it is in this rank's virtual future.
   void observe(std::int64_t t) {
     if (t > vclock) vclock = t;
   }
 };
 
-/// RAII: measures the CPU consumed in a scope (a payload memcpy) and
-/// charges it to the clock.
+/// RAII: measures the CPU consumed in a scope (a rendezvous or typed
+/// payload copy) and charges it to the clock. Its closing read becomes
+/// last_cpu, so it also serves as the enclosing call's exit read.
 class ChargedSection {
  public:
   explicit ChargedSection(RankClock& clock)
       : clock_(clock),
         t0_(clock.cpu_passthrough ? jhpc::thread_cpu_ns() : 0) {}
   ~ChargedSection() {
-    if (clock_.cpu_passthrough) clock_.charge(jhpc::thread_cpu_ns() - t0_);
+    if (!clock_.cpu_passthrough) return;
+    const std::int64_t t1 = jhpc::thread_cpu_ns();
+    clock_.charge(t1 - t0_);
+    clock_.last_cpu = t1;
   }
   ChargedSection(const ChargedSection&) = delete;
   ChargedSection& operator=(const ChargedSection&) = delete;
@@ -275,6 +303,40 @@ class ChargedSection {
  private:
   RankClock& clock_;
   std::int64_t t0_;
+};
+
+/// RAII over one two-sided transport call on the caller's clock: the
+/// entry read at construction, and the exit read at destruction only if
+/// the call blocked on the host — it parked on a condition variable, found
+/// a lock held, or woke another thread (completing a posted receive or a
+/// parked rendezvous sender, releasing a prober). A null clock (a bare
+/// RequestState in white-box tests) makes it a no-op.
+class CallClock {
+ public:
+  explicit CallClock(RankClock* clock) : clock_(clock) {
+    if (clock_ != nullptr) clock_->advance_cpu();
+  }
+  ~CallClock() {
+    if (blocked_ && clock_ != nullptr) clock_->resync_cpu();
+  }
+  CallClock(const CallClock&) = delete;
+  CallClock& operator=(const CallClock&) = delete;
+
+  /// Note that the call blocked on the host.
+  void blocked() { blocked_ = true; }
+  /// Lock `mu`, noting contention when another thread holds it.
+  std::unique_lock<std::mutex> lock(std::mutex& mu) {
+    std::unique_lock<std::mutex> lk(mu, std::try_to_lock);
+    if (!lk.owns_lock()) {
+      blocked_ = true;
+      lk.lock();
+    }
+    return lk;
+  }
+
+ private:
+  RankClock* clock_;
+  bool blocked_ = false;
 };
 
 /// Shared state of one non-blocking operation (send or receive).
@@ -412,7 +474,10 @@ Status wait_request(RequestState& rs);
 /// Non-blocking completion check with virtual-time semantics: a completed
 /// operation whose delivery time is still in the owner's virtual future
 /// reports "not yet" (the caller's polling CPU advances the clock until
-/// it catches up). Returns true and fills `out` once observable.
+/// it catches up). Under the deterministic clock no polling CPU is
+/// charged, so a completed operation is observable at once and the clock
+/// jumps to its delivery time, as in wait_request. Returns true and fills
+/// `out` once observable.
 bool test_request(RequestState& rs, Status* out);
 
 /// An incoming message parked in the unexpected queue.
@@ -730,6 +795,16 @@ struct UniverseImpl {
   /// `peer_world` < 0 means "no specific peer".
   void entry_checks(int my_world, int context_id, int peer_world);
 
+  /// raise_failure for a receive or probe whose peer `dead_world` died.
+  [[noreturn]] void raise_dead_peer(int my_world, int context_id,
+                                    int dead_world);
+
+  /// Park a posted receive in `bk` (caller holds bk.mu). A peer that died
+  /// after the caller's entry checks may have swept this bucket already
+  /// (mark_dead), and then nothing would ever fail the receive: return
+  /// that dead world rank instead of parking it, or -1 once parked.
+  int park_recv(MatchBucket& bk, std::shared_ptr<RequestState> rs);
+
   /// One fault-tolerant agreement round on `context_id` (resilience.cpp).
   /// Completes once every group member contributed or died; all
   /// participants read the same committed snapshot. With `alloc_cid` the
@@ -837,6 +912,14 @@ struct UniverseImpl {
                                           const Datatype* rdt = nullptr,
                                           int rdt_count = 0);
 
+  /// A receive request for `my_world`, posted at its current virtual
+  /// time and not yet queued (post_recv and blocking_recv park it).
+  std::shared_ptr<RequestState> recv_request(int my_world, int context_id,
+                                             int src, int tag, void* buf,
+                                             std::size_t capacity,
+                                             const Datatype* rdt,
+                                             int rdt_count);
+
   /// Blocking receive. With observability off this takes the
   /// matched-receive fast path: when the message is already pending it is
   /// consumed in place — same single copy, same virtual-time result —
@@ -861,7 +944,14 @@ struct UniverseImpl {
 
   /// Outcome of consuming one matched unexpected message in place.
   struct Consumed {
-    std::int64_t arrival_ns = 0;  ///< receive completion (virtual time)
+    /// Receive completion (virtual time). An eager payload is copied out
+    /// of its slab no earlier than it arrives, so this is the arrival
+    /// plus the copy's charge: a receiver behind the arrival still pays
+    /// its copy once it observes this time.
+    std::int64_t arrival_ns = 0;
+    /// The match released a rendezvous sender that may be parked: the
+    /// caller's call blocked on the host (a possible futex wake).
+    bool woke_sender = false;
     bool ok = true;
     bool timed_out = false;  ///< failure was a transport timeout
     /// Typed failure classification (kTruncated, kTransportTimeout).
@@ -882,7 +972,10 @@ struct UniverseImpl {
                            int rdt_count = 0);
 
   /// Probe my endpoint for a matching pending message. Blocking variant
-  /// waits; both fill `out` and return true on a match.
+  /// waits; both fill `out` and return true on a match. A non-blocking
+  /// probe sees an envelope only once it has arrived in this rank's
+  /// virtual time, except under the deterministic clock, where it sees a
+  /// queued envelope at once and jumps the clock to its arrival.
   bool probe_match(int my_world, int context_id, int src, int tag,
                    bool blocking, Status* out);
 };

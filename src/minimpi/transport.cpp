@@ -305,16 +305,19 @@ ResilienceScope::ResilienceScope() { ++resilience_depth; }
 ResilienceScope::~ResilienceScope() { --resilience_depth; }
 bool ResilienceScope::active() { return resilience_depth > 0; }
 
-Status wait_request(RequestState& rs) {
-  // Fold in the CPU the owner spent since its last transport call so the
-  // virtual clock is current before we observe the completion time.
-  if (rs.owner_clock != nullptr) rs.owner_clock->advance_cpu();
+namespace {
+
+/// wait_request after its entry read, inside the caller's CallClock:
+/// parking marks the call blocked, so its exit read drops the futex and
+/// scheduler work from the CPU passthrough.
+Status await_request(RequestState& rs, CallClock& call) {
   const std::int64_t wait_from =
       rs.owner_clock != nullptr ? rs.owner_clock->vclock : 0;
   if (rs.obs != nullptr && rs.owner_clock != nullptr)
     rs.obs->rec.begin(rs.owner_world, "wait", wait_from);
-  std::unique_lock<std::mutex> lk(rs.mu);
+  std::unique_lock<std::mutex> lk = call.lock(rs.mu);
   while (!rs.complete) {
+    call.blocked();
     rs.cv.wait_for(lk, kAbortPoll);
     if (rs.complete) break;
     if (rs.abort != nullptr && rs.abort->load(std::memory_order_relaxed)) {
@@ -351,9 +354,6 @@ Status wait_request(RequestState& rs) {
   lk.unlock();
   if (rs.owner_clock != nullptr) {
     rs.owner_clock->observe(ready_at);
-    // Blocking machinery (futex wakeups, lock contention) is a host
-    // artifact, not simulated work: drop it from the CPU passthrough.
-    rs.owner_clock->resync_cpu();
     if (rs.obs != nullptr) {
       rs.obs->rec.pvars().add(rs.obs->wait_count, rs.owner_world, 1);
       rs.obs->rec.pvars().add(rs.obs->wait_ns, rs.owner_world,
@@ -366,12 +366,22 @@ Status wait_request(RequestState& rs) {
   return st;
 }
 
+}  // namespace
+
+Status wait_request(RequestState& rs) {
+  // The entry read folds in the CPU the owner spent since its last
+  // transport call, so the clock is current before it observes the
+  // completion time.
+  CallClock call(rs.owner_clock);
+  return await_request(rs, call);
+}
+
 bool test_request(RequestState& rs, Status* out) {
-  if (rs.owner_clock != nullptr) rs.owner_clock->advance_cpu();
+  CallClock call(rs.owner_clock);
   if (rs.uni != nullptr && rs.uni->self_dead(rs.owner_world)) {
     throw RankKilledError();
   }
-  std::unique_lock<std::mutex> lk(rs.mu);
+  std::unique_lock<std::mutex> lk = call.lock(rs.mu);
   if (!rs.complete) return false;
   if (rs.failed) {
     const std::string err = rs.error;
@@ -389,10 +399,13 @@ bool test_request(RequestState& rs, Status* out) {
     throw_failure(code, err, std::move(failed));
   }
   // Completed, but only observable once the owner's virtual time reaches
-  // the delivery time; polling burns CPU and therefore advances it.
+  // the delivery time; polling burns CPU and therefore advances it. The
+  // deterministic clock charges no polling CPU, so there a poll observes
+  // the completion at once, as a wait would.
   if (rs.owner_clock != nullptr &&
       rs.ready_at_ns > rs.owner_clock->vclock) {
-    return false;
+    if (rs.owner_clock->cpu_passthrough) return false;
+    rs.owner_clock->observe(rs.ready_at_ns);
   }
   const Status st = rs.status;
   lk.unlock();
@@ -734,11 +747,26 @@ void UniverseImpl::entry_checks(int my_world, int context_id,
                   {});
   }
   if (peer_world >= 0 && rank_dead(peer_world)) {
-    raise_failure(
-        my_world, context_id, jhpc::ErrorCode::kRankFailed,
-        "rank " + std::to_string(peer_world) + " failed (fail-stop)",
-        {peer_world});
+    raise_dead_peer(my_world, context_id, peer_world);
   }
+}
+
+void UniverseImpl::raise_dead_peer(int my_world, int context_id,
+                                   int dead_world) {
+  raise_failure(my_world, context_id, jhpc::ErrorCode::kRankFailed,
+                "rank " + std::to_string(dead_world) + " failed (fail-stop)",
+                {dead_world});
+}
+
+int UniverseImpl::park_recv(MatchBucket& bk,
+                            std::shared_ptr<RequestState> rs) {
+  if (kills_on()) {
+    const int dead =
+        dead_peer_for_recv(rs->context_id, rs->owner_world, rs->match_src);
+    if (dead >= 0) return dead;
+  }
+  bk.posted.push_back(std::move(rs));
+  return -1;
 }
 
 void UniverseImpl::quiesce() {
@@ -938,6 +966,22 @@ void record_dt_copy(UniverseObs* o, int world, std::size_t bytes,
   reg.add(o->dt_flatten_runs, world, static_cast<std::int64_t>(runs));
 }
 
+/// One payload copy on `clock`: a dense eager copy (`modelled`) is
+/// charged from the copy model, any other copy is measured. Returns
+/// dt_copy's flattened-run count.
+std::size_t charged_copy(RankClock& clock, bool modelled,
+                         const Datatype* sdt, int sdt_count, const void* src,
+                         const Datatype* rdt, int rdt_count, void* dst,
+                         std::size_t bytes) {
+  if (modelled) {
+    if (bytes != 0) std::memcpy(dst, src, bytes);
+    clock.charge_copy(bytes);
+    return 0;
+  }
+  ChargedSection copy_cost(clock);
+  return dt_copy(sdt, sdt_count, src, rdt, rdt_count, dst, bytes);
+}
+
 }  // namespace
 
 std::shared_ptr<RequestState> UniverseImpl::deliver(
@@ -948,7 +992,7 @@ std::shared_ptr<RequestState> UniverseImpl::deliver(
   RankClock& sclock = clocks[static_cast<std::size_t>(src_world)];
   const bool eager = bytes <= config.eager_limit;
 
-  sclock.advance_cpu();
+  CallClock call(&sclock);
   entry_checks(src_world, context_id, dst_world);
   UniverseObs* const o = obs.get();
   TransportSpan span(o, src_world, "deliver", sclock);
@@ -973,7 +1017,7 @@ std::shared_ptr<RequestState> UniverseImpl::deliver(
     sclock.charge(config.intra_send_overhead_ns);
   }
 
-  std::lock_guard<std::mutex> lk(bk.mu);
+  const std::unique_lock<std::mutex> lk = call.lock(bk.mu);
   throw_if_aborted();
 
   // Try to match an already-posted receive (in post order: MPI's
@@ -986,6 +1030,8 @@ std::shared_ptr<RequestState> UniverseImpl::deliver(
     }
     std::shared_ptr<RequestState> matched = *it;
     bk.posted.erase(it);
+    // Completing (or failing) the receive may wake its parked owner.
+    call.blocked();
     if (bytes > matched->recv_capacity) {
       fail_request(*matched, jhpc::ErrorCode::kTruncated,
                    "message truncated: " + std::to_string(bytes) +
@@ -995,16 +1041,14 @@ std::shared_ptr<RequestState> UniverseImpl::deliver(
       // The send itself still completes locally (the data is gone).
       return nullptr;
     }
-    std::size_t typed_runs = 0;
-    {
-      // One copy, sender layout to receiver layout: when either side is
-      // strided this gathers/scatters directly between the two user
-      // buffers with no staging (the matched-receive fast path, typed).
-      ChargedSection copy_cost(sclock);
-      typed_runs = dt_copy(sdt, sdt_count, buf,
-                           matched->recv_dt ? &*matched->recv_dt : nullptr,
-                           matched->recv_dt_count, matched->recv_buf, bytes);
-    }
+    // One copy, sender layout to receiver layout: when either side is
+    // strided this gathers/scatters directly between the two user
+    // buffers with no staging (the matched-receive fast path, typed).
+    const Datatype* const rdt =
+        matched->recv_dt ? &*matched->recv_dt : nullptr;
+    const std::size_t typed_runs = charged_copy(
+        sclock, eager && sdt == nullptr && rdt == nullptr, sdt, sdt_count,
+        buf, rdt, matched->recv_dt_count, matched->recv_buf, bytes);
     record_dt_copy(o, src_world, bytes, typed_runs);
     const std::int64_t send_v = sclock.vclock;
     std::int64_t arrival;
@@ -1082,11 +1126,23 @@ std::shared_ptr<RequestState> UniverseImpl::deliver(
                         src_world, tag, obs::FlightKind::kMatch});
     }
     complete_request(*matched, Status{src_comm_rank, tag, bytes}, arrival);
-    sclock.resync_cpu();
     return nullptr;
   }
 
-  // No posted receive: park the message in the unexpected queue.
+  // No posted receive: park the message in the unexpected queue. Waking
+  // a parked prober blocks this call on the host.
+  auto enqueue = [&](InMsg m) {
+    bk.unexpected.push_back(std::move(m));
+    if (o != nullptr) {
+      o->rec.pvars().raise(
+          o->unexpected_hwm, dst_world,
+          static_cast<std::int64_t>(bk.unexpected.size()));
+    }
+    if (bk.probe_waiters > 0) {
+      call.blocked();
+      bk.cv.notify_all();
+    }
+  };
   InMsg msg;
   msg.src = src_comm_rank;
   msg.tag = tag;
@@ -1116,14 +1172,11 @@ std::shared_ptr<RequestState> UniverseImpl::deliver(
           o->rec.end(src_world, "slab_alloc", sclock.vclock);
         }
       }
-      std::size_t typed_runs = 0;
-      {
-        // Gather the (possibly strided) payload straight into the
-        // recycled slab: the one copy of the noncontiguous eager path.
-        ChargedSection copy_cost(sclock);
-        typed_runs = dt_copy(sdt, sdt_count, buf, nullptr, 0,
-                             msg.eager.data(), bytes);
-      }
+      // Gather the (possibly strided) payload straight into the recycled
+      // slab: the one copy of the noncontiguous eager path.
+      const std::size_t typed_runs =
+          charged_copy(sclock, sdt == nullptr, sdt, sdt_count, buf, nullptr,
+                       0, msg.eager.data(), bytes);
       record_dt_copy(o, src_world, bytes, typed_runs);
     }
     msg.send_vtime = sclock.vclock;
@@ -1144,14 +1197,7 @@ std::shared_ptr<RequestState> UniverseImpl::deliver(
           o->hist_eager, src_world,
           std::max<std::int64_t>(msg.deliver_at_ns - msg.send_vtime, 0));
     }
-    bk.unexpected.push_back(std::move(msg));
-    if (o != nullptr) {
-      o->rec.pvars().raise(
-          o->unexpected_hwm, dst_world,
-          static_cast<std::int64_t>(bk.unexpected.size()));
-    }
-    if (bk.probe_waiters > 0) bk.cv.notify_all();
-    sclock.resync_cpu();
+    enqueue(std::move(msg));
     return nullptr;  // sender completes locally (buffered)
   }
   msg.send_vtime = sclock.vclock;
@@ -1181,14 +1227,7 @@ std::shared_ptr<RequestState> UniverseImpl::deliver(
     msg.rndv_dt = *sdt;
     msg.rndv_dt_count = sdt_count;
   }
-  bk.unexpected.push_back(std::move(msg));
-  if (o != nullptr) {
-    o->rec.pvars().raise(
-        o->unexpected_hwm, dst_world,
-        static_cast<std::int64_t>(bk.unexpected.size()));
-  }
-  if (bk.probe_waiters > 0) bk.cv.notify_all();
-  sclock.resync_cpu();
+  enqueue(std::move(msg));
   return sender;
 }
 
@@ -1196,7 +1235,7 @@ std::shared_ptr<RequestState> UniverseImpl::post_recv(
     int my_world, int context_id, int src, int tag, void* buf,
     std::size_t capacity, const Datatype* rdt, int rdt_count) {
   RankClock& rclock = clocks[static_cast<std::size_t>(my_world)];
-  rclock.advance_cpu();
+  CallClock call(&rclock);
   UniverseObs* const o = obs.get();
   if (o != nullptr) {
     // peer here is the match spec (comm rank or kAnySource), the only
@@ -1212,27 +1251,11 @@ std::shared_ptr<RequestState> UniverseImpl::post_recv(
                           : -1);
   TransportSpan span(o, my_world, "post", rclock);
 
-  auto rs = std::make_shared<RequestState>();
-  rs->abort = &abort;
-  rs->owner_clock = &rclock;
-  rs->obs = o;
-  rs->owner_world = my_world;
-  rs->uni = this;
-  rs->post_vtime = rclock.vclock;
-  rs->is_recv = true;
-  rs->recv_buf = buf;
-  rs->recv_capacity = capacity;
-  if (rdt != nullptr) {
-    rs->recv_dt = *rdt;
-    rs->recv_dt_count = rdt_count;
-  }
-  rs->match_src = src;
-  rs->match_tag = tag;
-  rs->context_id = context_id;
-
+  auto rs = recv_request(my_world, context_id, src, tag, buf, capacity, rdt,
+                         rdt_count);
   MatchBucket& bk =
       endpoints[static_cast<std::size_t>(my_world)]->bucket(context_id);
-  std::lock_guard<std::mutex> lk(bk.mu);
+  std::unique_lock<std::mutex> lk = call.lock(bk.mu);
   throw_if_aborted();
 
   // Scan the unexpected queue in arrival order (non-overtaking rule for
@@ -1247,6 +1270,7 @@ std::shared_ptr<RequestState> UniverseImpl::post_recv(
     const Status st{msg.src, msg.tag, msg.bytes};
     Consumed c = consume_matched(std::move(msg), my_world, buf, capacity,
                                  rclock, rdt, rdt_count);
+    if (c.woke_sender) call.blocked();
     if (!c.ok) {
       if (c.timed_out) {
         fail_request_timeout(*rs, std::move(c.error));
@@ -1256,12 +1280,38 @@ std::shared_ptr<RequestState> UniverseImpl::post_recv(
       return rs;
     }
     complete_request(*rs, st, c.arrival_ns);
-    rclock.resync_cpu();
     return rs;
   }
 
-  bk.posted.push_back(rs);
-  rclock.resync_cpu();
+  const int dead = park_recv(bk, rs);
+  if (dead >= 0) {
+    lk.unlock();
+    raise_dead_peer(my_world, context_id, dead);
+  }
+  return rs;
+}
+
+std::shared_ptr<RequestState> UniverseImpl::recv_request(
+    int my_world, int context_id, int src, int tag, void* buf,
+    std::size_t capacity, const Datatype* rdt, int rdt_count) {
+  RankClock& rclock = clocks[static_cast<std::size_t>(my_world)];
+  auto rs = std::make_shared<RequestState>();
+  rs->abort = &abort;
+  rs->owner_clock = &rclock;
+  rs->obs = obs.get();
+  rs->owner_world = my_world;
+  rs->uni = this;
+  rs->post_vtime = rclock.vclock;
+  rs->is_recv = true;
+  rs->recv_buf = buf;
+  rs->recv_capacity = capacity;
+  if (rdt != nullptr) {
+    rs->recv_dt = *rdt;
+    rs->recv_dt_count = rdt_count;
+  }
+  rs->match_src = src;
+  rs->match_tag = tag;
+  rs->context_id = context_id;
   return rs;
 }
 
@@ -1273,6 +1323,8 @@ UniverseImpl::Consumed UniverseImpl::consume_matched(
   // rendezvous costs below advance it (wait-state classification).
   const std::int64_t post_v = rclock.vclock;
   Consumed c;
+  // Completing or failing a rendezvous sender may wake it.
+  c.woke_sender = msg.is_rndv();
   if (msg.bytes > capacity) {
     if (msg.is_rndv()) {
       // Release the sender; its data was never transferred.
@@ -1288,17 +1340,15 @@ UniverseImpl::Consumed UniverseImpl::consume_matched(
               "-byte receive buffer";
     return c;
   }
-  // The sender's live rendezvous buffer may itself be strided; move it
-  // into the receiver's layout in one lockstep pass, no staging buffer.
-  const Datatype* const rndv_sdt = msg.rndv_dt ? &*msg.rndv_dt : nullptr;
-  if (msg.is_rndv() && faults_on) {
-    std::size_t typed_runs = 0;
-    {
-      ChargedSection copy_cost(rclock);
-      typed_runs = dt_copy(rndv_sdt, msg.rndv_dt_count, msg.rndv_src, rdt,
-                           rdt_count, buf, msg.bytes);
-    }
+  if (msg.is_rndv()) {
+    // The sender's live rendezvous buffer may itself be strided; move it
+    // into the receiver's layout in one lockstep pass, no staging buffer.
+    const std::size_t typed_runs = charged_copy(
+        rclock, /*modelled=*/false, msg.rndv_dt ? &*msg.rndv_dt : nullptr,
+        msg.rndv_dt_count, msg.rndv_src, rdt, rdt_count, buf, msg.bytes);
     record_dt_copy(o, my_world, msg.bytes, typed_runs);
+  }
+  if (msg.is_rndv() && faults_on) {
     // The RTS header already arrived (msg.deliver_at_ns, retried until
     // it got through); answer with a CTS and pull the payload reliably.
     // Both run on this receiver's thread, so their trace spans belong
@@ -1322,13 +1372,6 @@ UniverseImpl::Consumed UniverseImpl::consume_matched(
       return c;
     }
   } else if (msg.is_rndv()) {
-    std::size_t typed_runs = 0;
-    {
-      ChargedSection copy_cost(rclock);
-      typed_runs = dt_copy(rndv_sdt, msg.rndv_dt_count, msg.rndv_src, rdt,
-                           rdt_count, buf, msg.bytes);
-    }
-    record_dt_copy(o, my_world, msg.bytes, typed_runs);
     // RTS arrived at send_vtime + hop; we answer with CTS now, and the
     // payload starts moving when the CTS reaches the sender.
     const std::int64_t hop = fabric.hop_latency_ns(msg.src_world, my_world);
@@ -1339,15 +1382,15 @@ UniverseImpl::Consumed UniverseImpl::consume_matched(
     complete_request(*msg.rndv_sender, Status{},
                      start + fabric.serialization_ns(msg.bytes));
   } else {
+    std::int64_t copy_ns = 0;
     if (msg.bytes > 0) {
-      std::size_t typed_runs = 0;
-      {
-        // The slab payload was packed dense at send time; scatter it
-        // straight into the receiver's (possibly strided) buffer.
-        ChargedSection copy_cost(rclock);
-        typed_runs = dt_copy(nullptr, 0, msg.eager.data(), rdt, rdt_count,
-                             buf, msg.bytes);
-      }
+      // The slab payload was packed dense at send time; scatter it
+      // straight into the receiver's (possibly strided) buffer.
+      const std::int64_t v0 = rclock.vclock;
+      const std::size_t typed_runs =
+          charged_copy(rclock, rdt == nullptr, nullptr, 0, msg.eager.data(),
+                       rdt, rdt_count, buf, msg.bytes);
+      copy_ns = rclock.vclock - v0;
       record_dt_copy(o, my_world, msg.bytes, typed_runs);
       const SlabPool::Released rel =
           slab.release(std::move(msg.eager), my_world);
@@ -1362,7 +1405,9 @@ UniverseImpl::Consumed UniverseImpl::consume_matched(
         }
       }
     }
-    c.arrival_ns = msg.deliver_at_ns;
+    // The copy out of the slab starts no earlier than the payload's
+    // arrival: observe the arrival, then charge the copy.
+    c.arrival_ns = msg.deliver_at_ns + copy_ns;
   }
   if (o != nullptr) {
     o->rec.pvars().add(o->msgs_recvd, my_world, 1);
@@ -1404,15 +1449,16 @@ Status UniverseImpl::blocking_recv(int my_world, int context_id, int src,
     return wait_request(*rs);
   }
   RankClock& rclock = clocks[static_cast<std::size_t>(my_world)];
-  rclock.advance_cpu();
+  CallClock call(&rclock);
   entry_checks(my_world, context_id,
                kills_on() ? dead_peer_for_recv(context_id, my_world, src)
                           : -1);
   MatchBucket& bk =
       endpoints[static_cast<std::size_t>(my_world)]->bucket(context_id);
   std::shared_ptr<RequestState> rs;
+  int dead = -1;
   {
-    std::lock_guard<std::mutex> lk(bk.mu);
+    const std::unique_lock<std::mutex> lk = call.lock(bk.mu);
     throw_if_aborted();
     for (auto it = bk.unexpected.begin(); it != bk.unexpected.end(); ++it) {
       if (!envelope_matches(it->context_id, it->src, it->tag, context_id,
@@ -1426,39 +1472,26 @@ Status UniverseImpl::blocking_recv(int my_world, int context_id, int src,
       const Status st{msg.src, msg.tag, msg.bytes};
       Consumed c = consume_matched(std::move(msg), my_world, buf, capacity,
                                    rclock, rdt, rdt_count);
+      if (c.woke_sender) call.blocked();
       if (!c.ok) {
         if (c.timed_out) throw TransportTimeoutError(c.error);
         throw_failure(c.code, c.error, {});
       }
       rclock.observe(c.arrival_ns);
-      rclock.resync_cpu();
       return st;
     }
     // Nothing pending: park a posted receive. Scan-then-park must happen
     // under one bucket lock acquisition or deliver() could slot a message
     // into the queue between the two.
-    rs = std::make_shared<RequestState>();
-    rs->abort = &abort;
-    rs->owner_clock = &rclock;
-    rs->obs = nullptr;
-    rs->owner_world = my_world;
-    rs->uni = this;
-    rs->post_vtime = rclock.vclock;
-    rs->is_recv = true;
-    rs->recv_buf = buf;
-    rs->recv_capacity = capacity;
-    if (rdt != nullptr) {
-      rs->recv_dt = *rdt;
-      rs->recv_dt_count = rdt_count;
-    }
-    rs->match_src = src;
-    rs->match_tag = tag;
-    rs->context_id = context_id;
-    bk.posted.push_back(rs);
+    rs = recv_request(my_world, context_id, src, tag, buf, capacity, rdt,
+                      rdt_count);
+    dead = park_recv(bk, rs);
   }
-  rclock.resync_cpu();
+  if (dead >= 0) raise_dead_peer(my_world, context_id, dead);
   try {
-    return wait_request(*rs);
+    // The wait runs inside this call: one entry read, and one exit read
+    // if it parked.
+    return await_request(*rs, call);
   } catch (...) {
     // Unwinding with the receive still posted (self fail-stop, abort):
     // the caller's buffer dies with this frame, so withdraw the request
@@ -1486,12 +1519,12 @@ void UniverseImpl::cancel_recv(const RequestState& rs) {
 bool UniverseImpl::probe_match(int my_world, int context_id, int src, int tag,
                                bool blocking, Status* out) {
   RankClock& rclock = clocks[static_cast<std::size_t>(my_world)];
+  CallClock call(&rclock);
   MatchBucket& bk =
       endpoints[static_cast<std::size_t>(my_world)]->bucket(context_id);
-  std::unique_lock<std::mutex> lk(bk.mu);
+  std::unique_lock<std::mutex> lk = call.lock(bk.mu);
   for (;;) {
     throw_if_aborted();
-    rclock.advance_cpu();
     if (kills_on()) {
       // Under the bucket lock only the no-reap checks are safe; a
       // scheduled self-death fires at the next lock-free entry point.
@@ -1499,10 +1532,7 @@ bool UniverseImpl::probe_match(int my_world, int context_id, int src, int tag,
       const int dead = dead_peer_for_recv(context_id, my_world, src);
       if (dead >= 0) {
         lk.unlock();
-        raise_failure(my_world, context_id, jhpc::ErrorCode::kRankFailed,
-                      "rank " + std::to_string(dead) +
-                          " failed (fail-stop)",
-                      {dead});
+        raise_dead_peer(my_world, context_id, dead);
       }
     }
     if (fail.revoked_count.load(std::memory_order_acquire) > 0 &&
@@ -1520,9 +1550,10 @@ bool UniverseImpl::probe_match(int my_world, int context_id, int src, int tag,
         // arrived in this rank's virtual time. A blocking probe would
         // simply have waited — jump the clock. A non-blocking probe
         // reports "nothing yet"; the caller's polling CPU advances the
-        // clock until the arrival becomes visible.
+        // clock until the arrival becomes visible. The deterministic
+        // clock charges no polling CPU, so there it jumps too.
         if (msg.deliver_at_ns > rclock.vclock) {
-          if (!blocking) return false;
+          if (!blocking && rclock.cpu_passthrough) return false;
           rclock.observe(msg.deliver_at_ns);
         }
         if (out != nullptr) *out = Status{msg.src, msg.tag, msg.bytes};
@@ -1530,6 +1561,7 @@ bool UniverseImpl::probe_match(int my_world, int context_id, int src, int tag,
       }
     }
     if (!blocking) return false;
+    call.blocked();
     ++bk.probe_waiters;
     bk.cv.wait_for(lk, kAbortPoll);
     --bk.probe_waiters;

@@ -11,7 +11,8 @@
 //
 // before it is considered delivered. Messages between ranks on the same
 // virtual node pay only a small fixed latency here — their dominant cost
-// is the real shared-memory copy performed by the transport. The per-link
+// is the shared-memory copy performed by the transport, which charges a
+// dense eager copy from its copy model and measures the rest. The per-link
 // clock makes concurrent transfers queue behind each other, which is what
 // gives osu_bw its saturation plateau and keeps multi-rank collectives
 // honest about link contention.
@@ -61,7 +62,8 @@ struct FabricConfig {
   /// Per-direction inter-node link bandwidth, MB/s (MB = 1e6 bytes).
   double inter_bandwidth_mbps = 12500.0;
   /// Latency added to intra-node messages, ns (models kernel/shared-memory
-  /// hand-off; the copies themselves are real CPU work).
+  /// hand-off; the copies are charged by the transport: dense eager copies
+  /// from its copy model, rendezvous and typed copies as measured CPU).
   std::int64_t intra_latency_ns = 100;
 
   /// Seeded fault-injection plan (drops, jitter, down windows, bandwidth
