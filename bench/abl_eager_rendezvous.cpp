@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
     cfg.eager_limit = limit;
     std::vector<ResultRow> rows;
     minimpi::Universe::launch(cfg, [&](minimpi::Comm& world) {
-      auto r = run_latency_native(world, opt);
+      NativeEnv env(world);
+      auto r = run_benchmark(BenchKind::kLatency, env, opt);
       if (world.rank() == 0) rows = std::move(r);
     });
     runs.push_back(std::move(rows));

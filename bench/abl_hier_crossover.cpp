@@ -12,19 +12,18 @@
 // evidenced, not assumed (basic/mv2 runs must report 0).
 //
 // Output: figure tables per geometry, a combined CSV (--csv) and a
-// BENCH-style JSON (--json, default BENCH_hier_crossover.json) for the
-// perf-trajectory artifact. See docs/PERF.md.
+// schema-2 BENCH record (--json, default BENCH_hier_crossover.json;
+// --baseline embeds an earlier one) for the perf-trajectory artifact.
+// See docs/PERF.md.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "fig_common.hpp"
-#include "jhpc/minimpi/minimpi.hpp"
-#include "jhpc/obs/pvar.hpp"
 
 namespace {
 
@@ -121,47 +120,12 @@ void write_csv(const std::string& path, const std::vector<GeoResult>& geos) {
   std::cerr << "[hier_crossover] csv written to " << path << "\n";
 }
 
-void write_json(const std::string& path, const std::vector<GeoResult>& geos) {
-  std::ostringstream os;
-  os << "{\n  \"bench\": \"hier_crossover\",\n  \"schema\": 1,\n"
-     << "  \"results\": [\n";
-  for (std::size_t i = 0; i < geos.size(); ++i) {
-    const GeoResult& g = geos[i];
-    char ratio[32];
-    std::snprintf(ratio, sizeof(ratio), "%.3f", g.mv2_over_hier);
-    os << "    {\"kind\": \"" << bench_name(g.kind) << "\", \"ppn\": "
-       << g.ppn << ", \"ranks\": " << g.ranks
-       << ", \"mv2_over_hier\": " << ratio
-       << ", \"hier_single_copies\": " << g.single_copies
-       << ", \"hier_single_copy_bytes\": " << g.single_copy_bytes << "}"
-       << (i + 1 < geos.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-  std::ofstream f(path);
-  f << os.str();
-  std::cerr << "[hier_crossover] wrote " << path << "\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string csv_path;
-  std::string json_path = "BENCH_hier_crossover.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--quick") {
-      quick = true;
-    } else if (a == "--csv" && i + 1 < argc) {
-      csv_path = argv[++i];
-    } else if (a == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--csv PATH] [--json PATH]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  const bench::Args args = bench::parse_args(
+      argc, argv, {.json = "BENCH_hier_crossover.json", .csv = true});
+  const bool quick = args.quick;
 
   std::vector<GeoResult> geos;
   for (const BenchKind kind : {BenchKind::kBcast, BenchKind::kAllreduce}) {
@@ -175,7 +139,7 @@ int main(int argc, char** argv) {
       geo.series = run_figure(fig);
       std::cout << figure_table(fig, geo.series).to_text();
       geo.mv2_over_hier = average_ratio(geo.series, "mv2", "hier");
-      probe_single_copy(ppn, geo, json_path + ".pvars.json");
+      probe_single_copy(ppn, geo, args.json + ".pvars.json");
       char line[128];
       std::snprintf(line, sizeof(line),
                     "mv2/hier avg ratio: %.2fx  (single_copies=%lld)\n\n",
@@ -186,8 +150,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!csv_path.empty()) write_csv(csv_path, geos);
-  write_json(json_path, geos);
+  if (!args.csv.empty()) write_csv(args.csv, geos);
+  std::vector<bench::Fields> rows;
+  for (const GeoResult& g : geos) {
+    rows.push_back({{"kind", bench::str(bench_name(g.kind))},
+                    {"ppn", bench::integer(g.ppn)},
+                    {"ranks", bench::integer(g.ranks)},
+                    {"mv2_over_hier", bench::num(g.mv2_over_hier)},
+                    {"hier_single_copies", bench::integer(g.single_copies)},
+                    {"hier_single_copy_bytes",
+                     bench::integer(g.single_copy_bytes)}});
+  }
+  bench::write_json(args, "hier_crossover", {}, rows, {});
 
   // The model's headline: with enough ranks sharing a node, two
   // shared-flag hops beat log2(ppn) channel hops. Fail loudly if the

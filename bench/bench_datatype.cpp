@@ -19,25 +19,21 @@
 // additionally reports steady-state allocations per message from the
 // transport.slab.misses pvar.
 //
-// Usage: bench_datatype [--quick] [--json PATH] [--min-speedup X]
+// Usage: bench_datatype [--quick] [--json PATH] [--baseline PATH]
+//                       [--min-speedup X]
 // Exit status is non-zero when the geometric-mean typed/manual speedup
 // over the eager-sized configurations falls below the floor (CI uses a
 // generous floor to catch real regressions, not scheduler noise).
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
-#include <string>
 #include <vector>
 
-#include "jhpc/minimpi/minimpi.hpp"
-#include "jhpc/obs/pvar.hpp"
-#include "jhpc/support/clock.hpp"
-#include "jhpc/support/stats.hpp"
+#include "bench_common.hpp"
 
 namespace {
 
+using namespace jhpc::bench;
 using jhpc::minimpi::Comm;
 using jhpc::minimpi::Datatype;
 using jhpc::minimpi::Universe;
@@ -52,25 +48,11 @@ struct Shape {
   std::size_t payload; // payload bytes (sum of blocks)
 };
 
-struct Result {
-  std::string mode;  // "typed" or "manual"
-  int blocklen = 0;
-  int stride = 0;  // ints
-  std::size_t payload = 0;
-  bool eager = false;
-  std::uint64_t messages = 0;  // per sample
-  int samples = 0;
-  double msgs_per_sec = 0.0;
-  double msgs_per_sec_lo = 0.0;
-  double msgs_per_sec_hi = 0.0;
-  double allocs_per_op = -1.0;  // typed mode only; -1 elsewhere
-};
-
-UniverseConfig base_config(bool pvars) {
+UniverseConfig base_config() {
   UniverseConfig cfg;
   cfg.world_size = 2;
   cfg.deterministic_clock = true;
-  cfg.obs.pvars = pvars;
+  cfg.obs.pvars = false;
   cfg.obs.trace_path.clear();
   return cfg;
 }
@@ -81,192 +63,64 @@ Datatype shape_type(const Shape& s) {
                           Datatype::int_type());
 }
 
-/// Strided buffer big enough for one element of the shape's type.
-std::vector<std::int32_t> strided_buf(const Shape& s) {
+/// Typed mode: kWindow sends of one strided element per window; the
+/// transport gathers straight into the eager slab and the receiver
+/// scatters straight from it.
+void typed(Comm& world, const Shape& s, auto&& run) {
   const Datatype dt = shape_type(s);
-  return std::vector<std::int32_t>(dt.extent() / 4, 1);
-}
-
-/// One windowed streaming run in typed mode. Returns wall seconds for
-/// `windows` windows of kWindow messages.
-double run_typed(Universe& u, const Shape& s, int warmup, int windows) {
-  std::int64_t wall_ns = 0;
-  u.run([&](Comm& world) {
-    const Datatype dt = shape_type(s);
-    auto buf = strided_buf(s);
-    std::byte ack{};
-    const int me = world.rank();
-    const int peer = 1 - me;
-    auto window = [&] {
-      if (me == 0) {
-        for (int m = 0; m < kWindow; ++m)
-          world.send(buf.data(), 1, dt, peer, kTag);
-        world.recv(&ack, 1, peer, kAckTag);
-      } else {
-        for (int m = 0; m < kWindow; ++m)
-          world.recv(buf.data(), 1, dt, peer, kTag);
-        world.send(&ack, 1, peer, kAckTag);
-      }
-    };
-    for (int w = 0; w < warmup; ++w) window();
-    world.barrier();
-    const std::int64_t t0 = jhpc::now_ns();
-    for (int w = 0; w < windows; ++w) window();
-    world.barrier();
-    if (me == 0) wall_ns = jhpc::now_ns() - t0;
+  std::vector<std::int32_t> buf(dt.extent() / 4, 1);
+  std::byte ack{};
+  const int peer = 1 - world.rank();
+  run([&] {
+    if (world.rank() == 0) {
+      for (int m = 0; m < kWindow; ++m)
+        world.send(buf.data(), 1, dt, peer, kTag);
+      world.recv(&ack, 1, peer, kAckTag);
+    } else {
+      for (int m = 0; m < kWindow; ++m)
+        world.recv(buf.data(), 1, dt, peer, kTag);
+      world.send(&ack, 1, peer, kAckTag);
+    }
   });
-  return static_cast<double>(wall_ns) * 1e-9;
 }
 
 /// The same traffic with an application-level pack/unpack through dense
 /// staging buffers and the byte API — what user code does without a
 /// datatype engine.
-double run_manual(Universe& u, const Shape& s, int warmup, int windows) {
-  std::int64_t wall_ns = 0;
-  u.run([&](Comm& world) {
-    auto buf = strided_buf(s);
-    std::vector<std::int32_t> staging(s.payload / 4);
-    const int nblocks = static_cast<int>(s.payload / 4) / s.blocklen;
-    const int bl = s.blocklen;
-    std::byte ack{};
-    const int me = world.rank();
-    const int peer = 1 - me;
-    auto pack = [&] {
-      for (int b = 0; b < nblocks; ++b)
-        std::memcpy(staging.data() + b * bl, buf.data() + b * 2 * bl,
-                    static_cast<std::size_t>(bl) * 4);
-    };
-    auto unpack = [&] {
-      for (int b = 0; b < nblocks; ++b)
-        std::memcpy(buf.data() + b * 2 * bl, staging.data() + b * bl,
-                    static_cast<std::size_t>(bl) * 4);
-    };
-    auto window = [&] {
-      if (me == 0) {
-        for (int m = 0; m < kWindow; ++m) {
-          pack();
-          world.send(staging.data(), s.payload, peer, kTag);
-        }
-        world.recv(&ack, 1, peer, kAckTag);
-      } else {
-        for (int m = 0; m < kWindow; ++m) {
-          world.recv(staging.data(), s.payload, peer, kTag);
-          unpack();
-        }
-        world.send(&ack, 1, peer, kAckTag);
+void manual(Comm& world, const Shape& s, auto&& run) {
+  std::vector<std::int32_t> buf(shape_type(s).extent() / 4, 1);
+  std::vector<std::int32_t> staging(s.payload / 4);
+  const int nblocks = static_cast<int>(s.payload / 4) / s.blocklen;
+  const int bl = s.blocklen;
+  std::byte ack{};
+  const int peer = 1 - world.rank();
+  run([&] {
+    if (world.rank() == 0) {
+      for (int m = 0; m < kWindow; ++m) {
+        for (int b = 0; b < nblocks; ++b)
+          std::memcpy(staging.data() + b * bl, buf.data() + b * 2 * bl,
+                      static_cast<std::size_t>(bl) * 4);
+        world.send(staging.data(), s.payload, peer, kTag);
       }
-    };
-    for (int w = 0; w < warmup; ++w) window();
-    world.barrier();
-    const std::int64_t t0 = jhpc::now_ns();
-    for (int w = 0; w < windows; ++w) window();
-    world.barrier();
-    if (me == 0) wall_ns = jhpc::now_ns() - t0;
-  });
-  return static_cast<double>(wall_ns) * 1e-9;
-}
-
-/// Steady-state slab misses per typed message, plus a sanity check that
-/// the dt.* pvars tick (the fast path is actually being taken).
-double measure_typed_allocs(const Shape& s, int windows) {
-  double allocs = -1.0;
-  Universe u(base_config(/*pvars=*/true));
-  u.run([&](Comm& world) {
-    const Datatype dt = shape_type(s);
-    auto buf = strided_buf(s);
-    std::byte ack{};
-    const int me = world.rank();
-    const int peer = 1 - me;
-    auto window = [&] {
-      if (me == 0) {
-        for (int m = 0; m < kWindow; ++m)
-          world.send(buf.data(), 1, dt, peer, kTag);
-        world.recv(&ack, 1, peer, kAckTag);
-      } else {
-        for (int m = 0; m < kWindow; ++m)
-          world.recv(buf.data(), 1, dt, peer, kTag);
-        world.send(&ack, 1, peer, kAckTag);
+      world.recv(&ack, 1, peer, kAckTag);
+    } else {
+      for (int m = 0; m < kWindow; ++m) {
+        world.recv(staging.data(), s.payload, peer, kTag);
+        for (int b = 0; b < nblocks; ++b)
+          std::memcpy(buf.data() + b * 2 * bl, staging.data() + b * bl,
+                      static_cast<std::size_t>(bl) * 4);
       }
-    };
-    for (int w = 0; w < 6; ++w) window();
-    world.barrier();
-    jhpc::obs::PvarRegistry* reg = world.pvars();
-    const jhpc::obs::PvarId misses =
-        reg != nullptr ? reg->find("transport.slab.misses")
-                       : jhpc::obs::PvarId{};
-    const std::int64_t m1 =
-        reg != nullptr && misses.valid() ? reg->total(misses) : 0;
-    world.barrier();
-    for (int w = 0; w < windows; ++w) window();
-    world.barrier();
-    if (me == 0 && reg != nullptr && misses.valid()) {
-      const std::int64_t m2 = reg->total(misses);
-      allocs = static_cast<double>(m2 - m1) /
-               (static_cast<double>(windows) * kWindow);
+      world.send(&ack, 1, peer, kAckTag);
     }
   });
-  return allocs;
-}
-
-std::string fmt(double v) {
-  char out[64];
-  std::snprintf(out, sizeof(out), "%.3f", v);
-  return out;
-}
-
-void write_json(const std::string& path, const std::vector<Result>& results,
-                const std::vector<double>& speedups, double geo,
-                double eager_geo) {
-  std::ostringstream os;
-  os << "{\n  \"bench\": \"datatype\",\n";
-  os << "  \"schema\": 1,\n";
-  os << "  \"window\": " << kWindow << ",\n";
-  os << "  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    os << "    {\"mode\": \"" << r.mode << "\", \"blocklen\": " << r.blocklen
-       << ", \"stride\": " << r.stride << ", \"payload\": " << r.payload
-       << ", \"eager\": " << (r.eager ? "true" : "false")
-       << ", \"messages\": " << r.messages << ", \"samples\": " << r.samples
-       << ", \"msgs_per_sec\": " << fmt(r.msgs_per_sec)
-       << ", \"msgs_per_sec_lo\": " << fmt(r.msgs_per_sec_lo)
-       << ", \"msgs_per_sec_hi\": " << fmt(r.msgs_per_sec_hi)
-       << ", \"allocs_per_op\": " << fmt(r.allocs_per_op) << "}"
-       << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"speedups\": [";
-  for (std::size_t i = 0; i < speedups.size(); ++i)
-    os << fmt(speedups[i]) << (i + 1 < speedups.size() ? ", " : "");
-  os << "],\n";
-  os << "  \"geomean_speedup\": " << fmt(geo) << ",\n";
-  os << "  \"geomean_speedup_eager\": " << fmt(eager_geo) << "\n}\n";
-  std::ofstream f(path);
-  f << os.str();
-  std::fprintf(stderr, "[bench_datatype] wrote %s\n", path.c_str());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path = "BENCH_datatype.json";
-  double min_speedup = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--quick") {
-      quick = true;
-    } else if (a == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (a == "--min-speedup" && i + 1 < argc) {
-      min_speedup = std::stod(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--json PATH] [--min-speedup X]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-
+  const Args args = parse_args(
+      argc, argv, {.json = "BENCH_datatype.json", .floor = "--min-speedup"});
+  const bool quick = args.quick;
   // blocklen x payload sweep: 50% density throughout (stride =
   // 2*blocklen). 1 KiB..8 KiB ride the eager fast path; 64 KiB is past
   // the 16 KiB eager limit and rides the rendezvous pipeline.
@@ -279,40 +133,32 @@ int main(int argc, char** argv) {
   const int samples = quick ? 3 : 5;
   const int windows = quick ? 40 : 250;
   const int warmup = quick ? 10 : 40;
+  const std::int64_t messages = static_cast<std::int64_t>(windows) * kWindow;
 
-  std::vector<Result> results;
+  std::vector<Fields> rows;
   std::vector<double> speedups;
   std::vector<double> eager_speedups;
-  Universe u(base_config(/*pvars=*/false));
+  Universe u(base_config());
   for (const Shape& s : shapes) {
     const bool eager = s.payload <= 16 * 1024;
     double typed_mean = 0.0;
-    for (const bool typed : {true, false}) {
-      Result r;
-      r.mode = typed ? "typed" : "manual";
-      r.blocklen = s.blocklen;
-      r.stride = 2 * s.blocklen;
-      r.payload = s.payload;
-      r.eager = eager;
-      r.messages = static_cast<std::uint64_t>(windows) * kWindow;
-      r.samples = samples;
-      std::vector<double> rates;
-      for (int k = 0; k < samples; ++k) {
-        const double secs =
-            typed ? run_typed(u, s, k == 0 ? warmup : 0, windows)
-                  : run_manual(u, s, k == 0 ? warmup : 0, windows);
-        rates.push_back(secs > 0 ? static_cast<double>(r.messages) / secs
-                                 : 0);
-      }
-      const jhpc::BootstrapCI ci = jhpc::bootstrap_ci(rates);
-      r.msgs_per_sec = ci.mean;
-      r.msgs_per_sec_lo = ci.lo;
-      r.msgs_per_sec_hi = ci.hi;
-      if (typed) {
-        typed_mean = ci.mean;
-        r.allocs_per_op = measure_typed_allocs(s, quick ? 15 : 60);
-      } else if (typed_mean > 0 && ci.mean > 0) {
-        const double sp = typed_mean / ci.mean;
+    for (const bool is_typed : {true, false}) {
+      const auto mode = [&](Comm& world, auto&& run) {
+        is_typed ? typed(world, s, run) : manual(world, s, run);
+      };
+      const Sampled r = sample(samples, messages, [&](int k) {
+        return run_windows(u, k == 0 ? warmup : 0, windows, mode).seconds;
+      });
+      // Steady-state slab misses per typed message (the fast path's
+      // zero-allocation claim); -1 in manual mode.
+      double allocs = -1.0;
+      if (is_typed) {
+        typed_mean = r.rate.mean;
+        allocs = slab_misses_per_window(base_config(), 6, quick ? 15 : 60,
+                                        mode);
+        if (allocs >= 0) allocs /= kWindow;
+      } else if (typed_mean > 0 && r.rate.mean > 0) {
+        const double sp = typed_mean / r.rate.mean;
         speedups.push_back(sp);
         if (eager) eager_speedups.push_back(sp);
         std::fprintf(stderr,
@@ -320,12 +166,22 @@ int main(int argc, char** argv) {
                      "speedup typed/manual = %.2fx\n",
                      s.blocklen, s.payload, sp);
       }
-      results.push_back(r);
+      rows.push_back({{"mode", str(is_typed ? "typed" : "manual")},
+                      {"blocklen", integer(s.blocklen)},
+                      {"stride", integer(2 * s.blocklen)},
+                      {"payload", integer(static_cast<std::int64_t>(s.payload))},
+                      {"eager", boolean(eager)},
+                      {"messages", integer(messages)},
+                      {"samples", integer(samples)},
+                      {"msgs_per_sec", num(r.rate.mean)},
+                      {"msgs_per_sec_lo", num(r.rate.lo)},
+                      {"msgs_per_sec_hi", num(r.rate.hi)},
+                      {"allocs_per_op", num(allocs)}});
       std::fprintf(stderr,
                    "[bench_datatype] %-6s bl=%-3d payload=%6zu B  "
                    "%10.0f msgs/s [%.0f, %.0f]  %.3f allocs/op\n",
-                   r.mode.c_str(), s.blocklen, s.payload, r.msgs_per_sec,
-                   r.msgs_per_sec_lo, r.msgs_per_sec_hi, r.allocs_per_op);
+                   is_typed ? "typed" : "manual", s.blocklen, s.payload,
+                   r.rate.mean, r.rate.lo, r.rate.hi, allocs);
     }
   }
 
@@ -334,14 +190,12 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "[bench_datatype] geomean speedup %.2fx (eager-only %.2fx)\n",
                geo, eager_geo);
-  write_json(json_path, results, speedups, geo, eager_geo);
-
-  if (min_speedup > 0 && eager_geo < min_speedup) {
-    std::fprintf(stderr,
-                 "[bench_datatype] FAIL: eager geomean speedup %.2fx is "
-                 "below the floor of %.2fx\n",
-                 eager_geo, min_speedup);
-    return 1;
-  }
-  return 0;
+  write_json(args, "datatype", {{"window", integer(kWindow)}}, rows,
+             {{"speedups", nums(speedups)},
+              {"geomean_speedup", num(geo)},
+              {"geomean_speedup_eager", num(eager_geo)}});
+  return above_floor(args, "datatype", "eager geomean speedup", eager_geo,
+                     "x")
+             ? 0
+             : 1;
 }

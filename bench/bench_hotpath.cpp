@@ -27,23 +27,15 @@
 //                      [--min-msgs-per-sec N]
 // Exit status is non-zero when the best stream rate is below the floor
 // (CI catches order-of-magnitude regressions only, not noise).
-#include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-#include <string>
 #include <vector>
 
-#include "jhpc/minimpi/minimpi.hpp"
-#include "jhpc/obs/pvar.hpp"
-#include "jhpc/support/clock.hpp"
-#include "jhpc/support/stats.hpp"
+#include "bench_common.hpp"
 
 namespace {
 
+using namespace jhpc::bench;
 using jhpc::minimpi::Comm;
-using jhpc::minimpi::Status;
 using jhpc::minimpi::Universe;
 using jhpc::minimpi::UniverseConfig;
 
@@ -51,197 +43,55 @@ constexpr int kTag = 7;
 constexpr int kAckTag = 8;
 constexpr int kWindow = 64;
 
-struct Result {
-  std::string pattern;
-  std::string mode;  // "real" or "det"
-  std::size_t size = 0;
-  std::uint64_t messages = 0;  // per sample
-  int samples = 0;
-  double seconds = 0.0;  // total across samples
-  double msgs_per_sec = 0.0;  // bootstrap mean over per-sample rates
-  double msgs_per_sec_lo = 0.0;  // 95% bootstrap CI
-  double msgs_per_sec_hi = 0.0;
-  double allocs_per_op = -1.0;  // -1: slab pvars unavailable
-};
-
-UniverseConfig base_config(bool det, bool pvars) {
+UniverseConfig base_config(bool det) {
   UniverseConfig cfg;
   cfg.world_size = 2;
   cfg.deterministic_clock = det;
-  cfg.obs.pvars = pvars;
+  cfg.obs.pvars = false;
   cfg.obs.trace_path.clear();
   return cfg;
 }
 
-/// One ping-pong run: rank 0 sends and awaits the echo. Returns wall
-/// seconds spent on `iters` round trips (2*iters messages).
-double run_pingpong(Universe& u, std::size_t size, int warmup, int iters) {
-  std::int64_t wall_ns = 0;
-  u.run([&](Comm& world) {
-    std::vector<std::byte> buf(size == 0 ? 1 : size);
-    const int me = world.rank();
-    const int peer = 1 - me;
-    for (int i = 0; i < warmup; ++i) {
-      if (me == 0) {
-        world.send(buf.data(), size, peer, kTag);
-        world.recv(buf.data(), size, peer, kTag);
-      } else {
-        world.recv(buf.data(), size, peer, kTag);
-        world.send(buf.data(), size, peer, kTag);
-      }
-    }
-    world.barrier();
-    const std::int64_t t0 = jhpc::now_ns();
-    for (int i = 0; i < iters; ++i) {
-      if (me == 0) {
-        world.send(buf.data(), size, peer, kTag);
-        world.recv(buf.data(), size, peer, kTag);
-      } else {
-        world.recv(buf.data(), size, peer, kTag);
-        world.send(buf.data(), size, peer, kTag);
-      }
-    }
-    world.barrier();
-    if (me == 0) wall_ns = jhpc::now_ns() - t0;
-  });
-  return static_cast<double>(wall_ns) * 1e-9;
-}
-
-/// One streaming run: rank 0 fires kWindow eager sends per window, rank 1
-/// drains them with blocking receives and acks the window. Returns wall
-/// seconds for `windows` windows (kWindow*windows messages).
-double run_stream(Universe& u, std::size_t size, int warmup, int windows) {
-  std::int64_t wall_ns = 0;
-  u.run([&](Comm& world) {
-    std::vector<std::byte> buf(size == 0 ? 1 : size);
-    std::byte ack{};
-    const int me = world.rank();
-    const int peer = 1 - me;
-    auto window = [&] {
-      if (me == 0) {
-        for (int m = 0; m < kWindow; ++m)
-          world.send(buf.data(), size, peer, kTag);
-        world.recv(&ack, 1, peer, kAckTag);
-      } else {
-        for (int m = 0; m < kWindow; ++m)
-          world.recv(buf.data(), size, peer, kTag);
-        world.send(&ack, 1, peer, kAckTag);
-      }
-    };
-    for (int w = 0; w < warmup; ++w) window();
-    world.barrier();
-    const std::int64_t t0 = jhpc::now_ns();
-    for (int w = 0; w < windows; ++w) window();
-    world.barrier();
-    if (me == 0) wall_ns = jhpc::now_ns() - t0;
-  });
-  return static_cast<double>(wall_ns) * 1e-9;
-}
-
-/// Instrumented pass: steady-state slab misses per message, read from the
-/// transport.slab.misses pvar across a measured streaming phase. Returns
-/// -1 when the pvar does not exist (pre-slab transport).
-double measure_allocs_per_op(std::size_t size, int windows) {
-  double allocs = -1.0;
-  Universe u(base_config(/*det=*/true, /*pvars=*/true));
-  u.run([&](Comm& world) {
-    std::vector<std::byte> buf(size == 0 ? 1 : size);
-    std::byte ack{};
-    const int me = world.rank();
-    const int peer = 1 - me;
-    auto window = [&] {
-      if (me == 0) {
-        for (int m = 0; m < kWindow; ++m)
-          world.send(buf.data(), size, peer, kTag);
-        world.recv(&ack, 1, peer, kAckTag);
-      } else {
-        for (int m = 0; m < kWindow; ++m)
-          world.recv(buf.data(), size, peer, kTag);
-        world.send(&ack, 1, peer, kAckTag);
-      }
-    };
-    // Warm the slab free lists, then measure the steady state.
-    for (int w = 0; w < 4; ++w) window();
-    world.barrier();
-    jhpc::obs::PvarRegistry* reg = world.pvars();
-    const jhpc::obs::PvarId misses =
-        reg != nullptr ? reg->find("transport.slab.misses")
-                       : jhpc::obs::PvarId{};
-    const std::int64_t m1 = reg != nullptr ? reg->total(misses) : 0;
-    world.barrier();
-    for (int w = 0; w < windows; ++w) window();
-    world.barrier();
-    if (me == 0 && reg != nullptr && misses.valid()) {
-      const std::int64_t m2 = reg->total(misses);
-      allocs = static_cast<double>(m2 - m1) /
-               (static_cast<double>(windows) * kWindow);
+/// One round trip per window: rank 0 sends and awaits the echo.
+void pingpong(Comm& world, std::size_t size, auto&& run) {
+  std::vector<std::byte> buf(size == 0 ? 1 : size);
+  const int peer = 1 - world.rank();
+  run([&] {
+    if (world.rank() == 0) {
+      world.send(buf.data(), size, peer, kTag);
+      world.recv(buf.data(), size, peer, kTag);
+    } else {
+      world.recv(buf.data(), size, peer, kTag);
+      world.send(buf.data(), size, peer, kTag);
     }
   });
-  return allocs;
 }
 
-std::string json_escape_free(double v) {
-  // JSON has no NaN/Inf; the harness never produces them, but be safe.
-  char out[64];
-  std::snprintf(out, sizeof(out), "%.3f", v);
-  return out;
-}
-
-void write_json(const std::string& path, const std::vector<Result>& results,
-                const std::string& baseline_blob) {
-  std::ostringstream os;
-  os << "{\n  \"bench\": \"hotpath\",\n";
-  os << "  \"schema\": 2,\n";
-  os << "  \"window\": " << kWindow << ",\n";
-  os << "  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    os << "    {\"pattern\": \"" << r.pattern << "\", \"mode\": \"" << r.mode
-       << "\", \"size\": " << r.size << ", \"messages\": " << r.messages
-       << ", \"samples\": " << r.samples
-       << ", \"seconds\": " << json_escape_free(r.seconds)
-       << ", \"msgs_per_sec\": " << json_escape_free(r.msgs_per_sec)
-       << ", \"msgs_per_sec_lo\": " << json_escape_free(r.msgs_per_sec_lo)
-       << ", \"msgs_per_sec_hi\": " << json_escape_free(r.msgs_per_sec_hi)
-       << ", \"allocs_per_op\": " << json_escape_free(r.allocs_per_op)
-       << "}" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  os << "  ]";
-  if (!baseline_blob.empty()) {
-    os << ",\n  \"baseline\": " << baseline_blob;
-  }
-  os << "\n}\n";
-  std::ofstream f(path);
-  f << os.str();
-  std::fprintf(stderr, "[bench_hotpath] wrote %s\n", path.c_str());
+/// kWindow eager sends per window from rank 0, drained with blocking
+/// receives on rank 1 and acked.
+void stream(Comm& world, std::size_t size, auto&& run) {
+  std::vector<std::byte> buf(size == 0 ? 1 : size);
+  std::byte ack{};
+  const int peer = 1 - world.rank();
+  run([&] {
+    if (world.rank() == 0) {
+      for (int m = 0; m < kWindow; ++m)
+        world.send(buf.data(), size, peer, kTag);
+      world.recv(&ack, 1, peer, kAckTag);
+    } else {
+      for (int m = 0; m < kWindow; ++m)
+        world.recv(buf.data(), size, peer, kTag);
+      world.send(&ack, 1, peer, kAckTag);
+    }
+  });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path = "BENCH_hotpath.json";
-  std::string baseline_path;
-  double floor = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--quick") {
-      quick = true;
-    } else if (a == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (a == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (a == "--min-msgs-per-sec" && i + 1 < argc) {
-      floor = std::stod(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--json PATH] [--baseline PATH] "
-                   "[--min-msgs-per-sec N]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-
+  const Args args = parse_args(
+      argc, argv, {.json = "BENCH_hotpath.json", .floor = "--min-msgs-per-sec"});
+  const bool quick = args.quick;
   const std::vector<std::size_t> sizes = {8, 128, 1024, 8192};
   // Each configuration is sampled repeatedly and summarised as a
   // bootstrap mean with a 95% CI (see jhpc::bootstrap_ci), so the JSON
@@ -252,93 +102,53 @@ int main(int argc, char** argv) {
   const int st_windows = quick ? 50 : 300;
   const int st_warmup = quick ? 10 : 50;
 
-  std::vector<Result> results;
+  std::vector<Fields> rows;
   double best_stream = 0.0;
   for (const bool det : {false, true}) {
     const char* mode = det ? "det" : "real";
-    Universe u(base_config(det, /*pvars=*/false));
+    Universe u(base_config(det));
     for (const std::size_t size : sizes) {
-      {
-        Result r;
-        r.pattern = "pingpong";
-        r.mode = mode;
-        r.size = size;
-        r.messages = static_cast<std::uint64_t>(pp_iters) * 2;
-        r.samples = samples;
-        std::vector<double> rates;
-        for (int s = 0; s < samples; ++s) {
-          const double secs =
-              run_pingpong(u, size, s == 0 ? pp_warmup : 0, pp_iters);
-          r.seconds += secs;
-          rates.push_back(
-              secs > 0 ? static_cast<double>(r.messages) / secs : 0);
+      for (const bool streaming : {false, true}) {
+        const auto pattern = [&](Comm& world, auto&& run) {
+          streaming ? stream(world, size, run) : pingpong(world, size, run);
+        };
+        const int per_sample = streaming ? st_windows : pp_iters;
+        const int warmup = streaming ? st_warmup : pp_warmup;
+        const auto messages = static_cast<std::int64_t>(per_sample) *
+                              (streaming ? kWindow : 2);
+        const Sampled s = sample(samples, messages, [&](int k) {
+          return run_windows(u, k == 0 ? warmup : 0, per_sample, pattern)
+              .seconds;
+        });
+        double allocs = -1.0;
+        if (streaming) {
+          allocs = slab_misses_per_window(base_config(/*det=*/true), 4,
+                                          quick ? 20 : 100, pattern);
+          if (allocs >= 0) allocs /= kWindow;
+          if (s.rate.mean > best_stream) best_stream = s.rate.mean;
         }
-        const jhpc::BootstrapCI ci = jhpc::bootstrap_ci(rates);
-        r.msgs_per_sec = ci.mean;
-        r.msgs_per_sec_lo = ci.lo;
-        r.msgs_per_sec_hi = ci.hi;
-        results.push_back(r);
+        rows.push_back({{"pattern", str(streaming ? "stream" : "pingpong")},
+                        {"mode", str(mode)},
+                        {"size", integer(static_cast<std::int64_t>(size))},
+                        {"messages", integer(messages)},
+                        {"samples", integer(samples)},
+                        {"seconds", num(s.seconds)},
+                        {"msgs_per_sec", num(s.rate.mean)},
+                        {"msgs_per_sec_lo", num(s.rate.lo)},
+                        {"msgs_per_sec_hi", num(s.rate.hi)},
+                        {"allocs_per_op", num(allocs)}});
         std::fprintf(stderr,
-                     "[bench_hotpath] pingpong %4s %5zu B  %10.0f msgs/s "
-                     "[%.0f, %.0f]\n",
-                     mode, size, r.msgs_per_sec, ci.lo, ci.hi);
-      }
-      {
-        Result r;
-        r.pattern = "stream";
-        r.mode = mode;
-        r.size = size;
-        r.messages = static_cast<std::uint64_t>(st_windows) * kWindow;
-        r.samples = samples;
-        std::vector<double> rates;
-        for (int s = 0; s < samples; ++s) {
-          const double secs =
-              run_stream(u, size, s == 0 ? st_warmup : 0, st_windows);
-          r.seconds += secs;
-          rates.push_back(
-              secs > 0 ? static_cast<double>(r.messages) / secs : 0);
-        }
-        const jhpc::BootstrapCI ci = jhpc::bootstrap_ci(rates);
-        r.msgs_per_sec = ci.mean;
-        r.msgs_per_sec_lo = ci.lo;
-        r.msgs_per_sec_hi = ci.hi;
-        r.allocs_per_op = measure_allocs_per_op(size, quick ? 20 : 100);
-        if (r.msgs_per_sec > best_stream) best_stream = r.msgs_per_sec;
-        results.push_back(r);
-        std::fprintf(
-            stderr,
-            "[bench_hotpath] stream   %4s %5zu B  %10.0f msgs/s "
-            "[%.0f, %.0f]  %.3f allocs/op\n",
-            mode, size, r.msgs_per_sec, ci.lo, ci.hi, r.allocs_per_op);
+                     "[bench_hotpath] %-8s %4s %5zu B  %10.0f msgs/s "
+                     "[%.0f, %.0f]  %.3f allocs/op\n",
+                     streaming ? "stream" : "pingpong", mode, size,
+                     s.rate.mean, s.rate.lo, s.rate.hi, allocs);
       }
     }
   }
 
-  std::string baseline_blob;
-  if (!baseline_path.empty()) {
-    std::ifstream f(baseline_path);
-    if (!f) {
-      std::fprintf(stderr, "[bench_hotpath] cannot read baseline %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    baseline_blob = ss.str();
-    // Strip a trailing newline so the embedded object nests cleanly.
-    while (!baseline_blob.empty() &&
-           (baseline_blob.back() == '\n' || baseline_blob.back() == '\r')) {
-      baseline_blob.pop_back();
-    }
-  }
-  write_json(json_path, results, baseline_blob);
-
-  if (floor > 0 && best_stream < floor) {
-    std::fprintf(stderr,
-                 "[bench_hotpath] FAIL: best stream rate %.0f msgs/s is "
-                 "below the floor of %.0f msgs/s\n",
-                 best_stream, floor);
-    return 1;
-  }
-  return 0;
+  write_json(args, "hotpath", {{"window", integer(kWindow)}}, rows, {});
+  return above_floor(args, "hotpath", "best stream rate", best_stream,
+                     " msgs/s")
+             ? 0
+             : 1;
 }

@@ -20,23 +20,19 @@
 // over REAL wall time (the simulator's virtual clock would hide the
 // mailbox copies this benchmark exists to expose).
 //
-// Usage: bench_rma [--quick] [--json PATH] [--min-speedup X]
+// Usage: bench_rma [--quick] [--json PATH] [--baseline PATH]
+//                  [--min-speedup X]
 // Exit status is non-zero when the geometric-mean rma/twosided speedup
 // over the large payloads falls below the floor.
-#include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
-#include <string>
 #include <vector>
 
-#include "jhpc/minimpi/minimpi.hpp"
+#include "bench_common.hpp"
 #include "jhpc/minimpi/win.hpp"
-#include "jhpc/support/clock.hpp"
-#include "jhpc/support/stats.hpp"
 
 namespace {
 
+using namespace jhpc::bench;
 using jhpc::minimpi::Comm;
 using jhpc::minimpi::Universe;
 using jhpc::minimpi::UniverseConfig;
@@ -46,17 +42,6 @@ constexpr int kTag = 11;
 constexpr int kWindow = 32;
 constexpr std::size_t kLargeFloor = 256 * 1024;
 
-struct Result {
-  std::string mode;  // "rma" or "twosided"
-  std::size_t size = 0;
-  std::uint64_t messages = 0;  // per sample
-  int samples = 0;
-  double seconds = 0.0;  // mean wall seconds per sample
-  double mbps = 0.0;
-  double mbps_lo = 0.0;
-  double mbps_hi = 0.0;
-};
-
 UniverseConfig base_config() {
   UniverseConfig cfg;
   cfg.world_size = 2;
@@ -65,119 +50,44 @@ UniverseConfig base_config() {
   return cfg;
 }
 
-/// One streaming run in rma mode: `windows` epochs of kWindow puts from
-/// rank 0 into rank 1's window, each closed by a fence. Returns wall
-/// seconds.
-double run_rma(Universe& u, std::size_t size, int warmup, int windows) {
-  std::int64_t wall_ns = 0;
-  u.run([&](Comm& world) {
-    std::vector<std::byte> origin(size, std::byte{0x5a});
-    Win win = world.win_allocate(size);
-    const int me = world.rank();
-    auto window = [&] {
-      if (me == 0)
-        for (int m = 0; m < kWindow; ++m)
-          win.put(origin.data(), size, 1, 0);
-      win.fence();
-    };
+/// rma mode: kWindow puts from rank 0 into rank 1's window per epoch,
+/// each epoch closed by a fence.
+void rma(Comm& world, std::size_t size, auto&& run) {
+  std::vector<std::byte> origin(size, std::byte{0x5a});
+  Win win = world.win_allocate(size);
+  win.fence();
+  run([&] {
+    if (world.rank() == 0)
+      for (int m = 0; m < kWindow; ++m) win.put(origin.data(), size, 1, 0);
     win.fence();
-    for (int w = 0; w < warmup; ++w) window();
-    world.barrier();
-    const std::int64_t t0 = jhpc::now_ns();
-    for (int w = 0; w < windows; ++w) window();
-    world.barrier();
-    if (me == 0) wall_ns = jhpc::now_ns() - t0;
-    win.free();
   });
-  return static_cast<double>(wall_ns) * 1e-9;
+  win.free();
 }
 
 /// The same traffic emulated with two-sided messaging: the target drains
 /// each "put" with a recv into its window region and a barrier plays the
 /// fence. This is the mailbox-bounce path RMA removes.
-double run_twosided(Universe& u, std::size_t size, int warmup, int windows) {
-  std::int64_t wall_ns = 0;
-  u.run([&](Comm& world) {
-    std::vector<std::byte> origin(size, std::byte{0x5a});
-    std::vector<std::byte> window_mem(size);
-    const int me = world.rank();
-    auto window = [&] {
-      if (me == 0) {
-        for (int m = 0; m < kWindow; ++m)
-          world.send(origin.data(), size, 1, kTag);
-      } else {
-        for (int m = 0; m < kWindow; ++m)
-          world.recv(window_mem.data(), size, 0, kTag);
-      }
-      world.barrier();
-    };
-    for (int w = 0; w < warmup; ++w) window();
+void twosided(Comm& world, std::size_t size, auto&& run) {
+  std::vector<std::byte> origin(size, std::byte{0x5a});
+  std::vector<std::byte> window_mem(size);
+  run([&] {
+    if (world.rank() == 0) {
+      for (int m = 0; m < kWindow; ++m)
+        world.send(origin.data(), size, 1, kTag);
+    } else {
+      for (int m = 0; m < kWindow; ++m)
+        world.recv(window_mem.data(), size, 0, kTag);
+    }
     world.barrier();
-    const std::int64_t t0 = jhpc::now_ns();
-    for (int w = 0; w < windows; ++w) window();
-    world.barrier();
-    if (me == 0) wall_ns = jhpc::now_ns() - t0;
   });
-  return static_cast<double>(wall_ns) * 1e-9;
-}
-
-std::string fmt(double v) {
-  char out[64];
-  std::snprintf(out, sizeof(out), "%.3f", v);
-  return out;
-}
-
-void write_json(const std::string& path, const std::vector<Result>& results,
-                const std::vector<double>& speedups, double geo,
-                double large_geo) {
-  std::ostringstream os;
-  os << "{\n  \"bench\": \"rma\",\n";
-  os << "  \"schema\": 2,\n";
-  os << "  \"window\": " << kWindow << ",\n";
-  os << "  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    os << "    {\"mode\": \"" << r.mode << "\", \"size\": " << r.size
-       << ", \"messages\": " << r.messages << ", \"samples\": " << r.samples
-       << ", \"seconds\": " << fmt(r.seconds)
-       << ", \"mb_per_sec\": " << fmt(r.mbps)
-       << ", \"mb_per_sec_lo\": " << fmt(r.mbps_lo)
-       << ", \"mb_per_sec_hi\": " << fmt(r.mbps_hi) << "}"
-       << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"speedups\": [";
-  for (std::size_t i = 0; i < speedups.size(); ++i)
-    os << fmt(speedups[i]) << (i + 1 < speedups.size() ? ", " : "");
-  os << "],\n";
-  os << "  \"geomean_speedup\": " << fmt(geo) << ",\n";
-  os << "  \"geomean_speedup_large\": " << fmt(large_geo) << "\n}\n";
-  std::ofstream f(path);
-  f << os.str();
-  std::fprintf(stderr, "[bench_rma] wrote %s\n", path.c_str());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path = "BENCH_rma.json";
-  double min_speedup = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--quick") {
-      quick = true;
-    } else if (a == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (a == "--min-speedup" && i + 1 < argc) {
-      min_speedup = std::stod(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--json PATH] [--min-speedup X]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-
+  const Args args = parse_args(
+      argc, argv, {.json = "BENCH_rma.json", .floor = "--min-speedup"});
+  const bool quick = args.quick;
   // 1 KiB and 8 KiB ride the eager path in twosided mode; 256 KiB and
   // 1 MiB are deep in rendezvous territory where the saved copy per
   // byte dominates.
@@ -187,7 +97,7 @@ int main(int argc, char** argv) {
   const int base_windows = quick ? 30 : 150;
   const int warmup = quick ? 5 : 20;
 
-  std::vector<Result> results;
+  std::vector<Fields> rows;
   std::vector<double> speedups;
   std::vector<double> large_speedups;
   Universe u(base_config());
@@ -195,33 +105,20 @@ int main(int argc, char** argv) {
     // Keep per-sample byte volume roughly constant across sizes.
     const int windows =
         size >= kLargeFloor ? (quick ? 5 : 20) : base_windows;
+    const std::int64_t messages = static_cast<std::int64_t>(windows) * kWindow;
     double rma_mean = 0.0;
-    for (const bool rma : {true, false}) {
-      Result r;
-      r.mode = rma ? "rma" : "twosided";
-      r.size = size;
-      r.messages = static_cast<std::uint64_t>(windows) * kWindow;
-      r.samples = samples;
-      std::vector<double> rates;
-      double total_secs = 0.0;
-      for (int k = 0; k < samples; ++k) {
-        const double secs =
-            rma ? run_rma(u, size, k == 0 ? warmup : 0, windows)
-                : run_twosided(u, size, k == 0 ? warmup : 0, windows);
-        total_secs += secs;
-        const double bytes =
-            static_cast<double>(r.messages) * static_cast<double>(size);
-        rates.push_back(secs > 0 ? bytes / secs / 1e6 : 0);
-      }
-      const jhpc::BootstrapCI ci = jhpc::bootstrap_ci(rates);
-      r.seconds = total_secs / samples;
-      r.mbps = ci.mean;
-      r.mbps_lo = ci.lo;
-      r.mbps_hi = ci.hi;
-      if (rma) {
-        rma_mean = ci.mean;
-      } else if (rma_mean > 0 && ci.mean > 0) {
-        const double sp = rma_mean / ci.mean;
+    for (const bool is_rma : {true, false}) {
+      const auto mode = [&](Comm& world, auto&& run) {
+        is_rma ? rma(world, size, run) : twosided(world, size, run);
+      };
+      const Sampled r = sample(
+          samples, static_cast<double>(messages) * size / 1e6, [&](int k) {
+            return run_windows(u, k == 0 ? warmup : 0, windows, mode).seconds;
+          });
+      if (is_rma) {
+        rma_mean = r.rate.mean;
+      } else if (rma_mean > 0 && r.rate.mean > 0) {
+        const double sp = rma_mean / r.rate.mean;
         speedups.push_back(sp);
         if (size >= kLargeFloor) large_speedups.push_back(sp);
         std::fprintf(stderr,
@@ -229,10 +126,18 @@ int main(int argc, char** argv) {
                      "%.2fx\n",
                      size, sp);
       }
-      results.push_back(r);
+      rows.push_back({{"mode", str(is_rma ? "rma" : "twosided")},
+                      {"size", integer(static_cast<std::int64_t>(size))},
+                      {"messages", integer(messages)},
+                      {"samples", integer(samples)},
+                      {"seconds", num(r.seconds)},
+                      {"mb_per_sec", num(r.rate.mean)},
+                      {"mb_per_sec_lo", num(r.rate.lo)},
+                      {"mb_per_sec_hi", num(r.rate.hi)}});
       std::fprintf(stderr,
                    "[bench_rma] %-8s size=%8zu B  %10.1f MB/s [%.1f, %.1f]\n",
-                   r.mode.c_str(), size, r.mbps, r.mbps_lo, r.mbps_hi);
+                   is_rma ? "rma" : "twosided", size, r.rate.mean, r.rate.lo,
+                   r.rate.hi);
     }
   }
 
@@ -241,14 +146,12 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "[bench_rma] geomean speedup %.2fx (large-only %.2fx)\n", geo,
                large_geo);
-  write_json(json_path, results, speedups, geo, large_geo);
-
-  if (min_speedup > 0 && large_geo < min_speedup) {
-    std::fprintf(stderr,
-                 "[bench_rma] FAIL: large-put geomean speedup %.2fx is "
-                 "below the floor of %.2fx\n",
-                 large_geo, min_speedup);
-    return 1;
-  }
-  return 0;
+  write_json(args, "rma", {{"window", integer(kWindow)}}, rows,
+             {{"speedups", nums(speedups)},
+              {"geomean_speedup", num(geo)},
+              {"geomean_speedup_large", num(large_geo)}});
+  return above_floor(args, "rma", "large-put geomean speedup", large_geo,
+                     "x")
+             ? 0
+             : 1;
 }

@@ -18,43 +18,31 @@
 //           near the whole backlog.
 //
 // The JSON also records the depot high-water mark against its ceiling —
-// the bounded-memory evidence EXPERIMENTS.md points at.
+// the bounded-memory evidence EXPERIMENTS.md points at — and the count of
+// jobs that did not complete: any such job fails the run, as does a depot
+// high-water mark above the ceiling.
 //
-// Usage: bench_service [--quick] [--json PATH] [--min-jobs-per-min N]
+// Usage: bench_service [--quick] [--json PATH] [--baseline PATH]
+//                      [--min-jobs-per-min N]
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "jhpc/jhpcd/jhpcd.hpp"
-#include "jhpc/support/clock.hpp"
-#include "jhpc/support/stats.hpp"
 
 namespace {
 
+using namespace jhpc::bench;
 using jhpc::jhpcd::JobClass;
 using jhpc::jhpcd::JobHandle;
 using jhpc::jhpcd::JobManager;
-using jhpc::jhpcd::JobResult;
 using jhpc::jhpcd::JobSpec;
 using jhpc::jhpcd::JobState;
 using jhpc::jhpcd::ServiceConfig;
 using jhpc::jhpcd::ServiceStats;
 using jhpc::minimpi::Comm;
-
-struct Result {
-  std::string mode;  // "short" or "mixed"
-  int jobs = 0;      // per sample
-  int samples = 0;
-  double seconds = 0.0;       // mean wall seconds per sample
-  double jobs_per_min = 0.0;  // bootstrap mean (short mode)
-  double jobs_per_min_lo = 0.0;
-  double jobs_per_min_hi = 0.0;
-  double latency_wait_us = 0.0;    // mixed mode: mean queue wait per class
-  double bandwidth_wait_us = 0.0;
-};
 
 JobSpec short_job(int i) {
   JobSpec spec;
@@ -93,86 +81,36 @@ JobSpec hog_job(int i) {
   return spec;
 }
 
+/// Await every handle; returns the summed queue wait in us and adds the
+/// jobs that did not complete to `failed`.
+double await_all(std::vector<JobHandle>& handles, int& failed) {
+  double wait_ns = 0.0;
+  for (auto& h : handles) {
+    const auto result = h.await();
+    if (result.state != JobState::kCompleted) ++failed;
+    wait_ns += static_cast<double>(result.queue_wait_ns);
+  }
+  return wait_ns / 1e3;
+}
+
 /// One short-mode sample: push `jobs` jobs through the resident manager
 /// and await them all. Returns wall seconds.
-double run_short_sample(JobManager& mgr, int jobs) {
+double run_short_sample(JobManager& mgr, int jobs, int& failed) {
   std::vector<JobHandle> handles;
   handles.reserve(static_cast<std::size_t>(jobs));
   const std::int64_t t0 = jhpc::now_ns();
-  for (int i = 0; i < jobs; ++i) {
-    handles.push_back(mgr.submit(short_job(i)));
-  }
-  int failed = 0;
-  for (auto& h : handles) {
-    if (h.await().state != JobState::kCompleted) ++failed;
-  }
-  const double secs = static_cast<double>(jhpc::now_ns() - t0) * 1e-9;
-  if (failed > 0) {
-    std::fprintf(stderr, "[bench_service] WARNING: %d short jobs failed\n",
-                 failed);
-  }
-  return secs;
-}
-
-std::string fmt(double v) {
-  char out[64];
-  std::snprintf(out, sizeof(out), "%.3f", v);
-  return out;
-}
-
-void write_json(const std::string& path, const std::vector<Result>& results,
-                double jobs_per_min, double floor, const ServiceStats& stats,
-                std::size_t depot_max_bytes) {
-  std::ostringstream os;
-  os << "{\n  \"bench\": \"service\",\n";
-  os << "  \"schema\": 2,\n";
-  os << "  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    os << "    {\"mode\": \"" << r.mode << "\", \"jobs\": " << r.jobs
-       << ", \"samples\": " << r.samples
-       << ", \"seconds\": " << fmt(r.seconds)
-       << ", \"jobs_per_min\": " << fmt(r.jobs_per_min)
-       << ", \"jobs_per_min_lo\": " << fmt(r.jobs_per_min_lo)
-       << ", \"jobs_per_min_hi\": " << fmt(r.jobs_per_min_hi)
-       << ", \"latency_wait_us\": " << fmt(r.latency_wait_us)
-       << ", \"bandwidth_wait_us\": " << fmt(r.bandwidth_wait_us) << "}"
-       << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n";
-  os << "  \"jobs_per_min\": " << fmt(jobs_per_min) << ",\n";
-  os << "  \"floor_jobs_per_min\": " << fmt(floor) << ",\n";
-  os << "  \"universes_created\": " << stats.universes_created << ",\n";
-  os << "  \"universes_reused\": " << stats.universes_reused << ",\n";
-  os << "  \"depot_hwm_bytes\": " << stats.depot.hwm_bytes << ",\n";
-  os << "  \"depot_max_bytes\": " << depot_max_bytes << "\n}\n";
-  std::ofstream f(path);
-  f << os.str();
-  std::fprintf(stderr, "[bench_service] wrote %s\n", path.c_str());
+  for (int i = 0; i < jobs; ++i) handles.push_back(mgr.submit(short_job(i)));
+  await_all(handles, failed);
+  return static_cast<double>(jhpc::now_ns() - t0) * 1e-9;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path = "BENCH_service.json";
-  double min_jobs_per_min = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--quick") {
-      quick = true;
-    } else if (a == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (a == "--min-jobs-per-min" && i + 1 < argc) {
-      min_jobs_per_min = std::stod(argv[++i]);
-    } else {
-      std::fprintf(
-          stderr,
-          "usage: %s [--quick] [--json PATH] [--min-jobs-per-min N]\n",
-          argv[0]);
-      return 2;
-    }
-  }
+  const Args args = parse_args(
+      argc, argv,
+      {.json = "BENCH_service.json", .floor = "--min-jobs-per-min"});
+  const bool quick = args.quick;
 
   ServiceConfig cfg;
   cfg.workers = 4;
@@ -187,86 +125,88 @@ int main(int argc, char** argv) {
   const int samples = quick ? 3 : 5;
   const int jobs_per_sample = quick ? 300 : 2000;
   const int warmup_jobs = quick ? 50 : 200;
-
-  std::vector<Result> results;
+  int failed = 0;
 
   // --- short: steady-state churn throughput ------------------------------
-  run_short_sample(mgr, warmup_jobs);  // warm the pool and the depot
-  Result shortr;
-  shortr.mode = "short";
-  shortr.jobs = jobs_per_sample;
-  shortr.samples = samples;
-  std::vector<double> rates;
-  double total_secs = 0.0;
-  for (int k = 0; k < samples; ++k) {
-    const double secs = run_short_sample(mgr, jobs_per_sample);
-    total_secs += secs;
-    rates.push_back(secs > 0 ? 60.0 * jobs_per_sample / secs : 0.0);
-  }
-  const jhpc::BootstrapCI ci = jhpc::bootstrap_ci(rates);
-  shortr.seconds = total_secs / samples;
-  shortr.jobs_per_min = ci.mean;
-  shortr.jobs_per_min_lo = ci.lo;
-  shortr.jobs_per_min_hi = ci.hi;
-  results.push_back(shortr);
+  run_short_sample(mgr, warmup_jobs, failed);  // warm the pool and the depot
+  const Sampled shortr = sample(samples, 60.0 * jobs_per_sample, [&](int) {
+    return run_short_sample(mgr, jobs_per_sample, failed);
+  });
   std::fprintf(stderr,
                "[bench_service] short: %10.0f jobs/min [%.0f, %.0f] "
                "(%d jobs x %d samples)\n",
-               ci.mean, ci.lo, ci.hi, jobs_per_sample, samples);
+               shortr.rate.mean, shortr.rate.lo, shortr.rate.hi,
+               jobs_per_sample, samples);
 
   // --- mixed: latency-class wait under bandwidth hogs --------------------
-  Result mixed;
-  mixed.mode = "mixed";
-  mixed.samples = 1;
   const int hogs = quick ? 6 : 16;
   const int lats = quick ? 30 : 100;
-  mixed.jobs = hogs + lats;
-  {
-    std::vector<JobHandle> hog_handles, lat_handles;
-    const std::int64_t t0 = jhpc::now_ns();
-    for (int i = 0; i < hogs; ++i) hog_handles.push_back(mgr.submit(hog_job(i)));
-    for (int i = 0; i < lats; ++i) {
-      JobSpec spec = short_job(i);
-      spec.job_class = JobClass::kLatency;
-      lat_handles.push_back(mgr.submit(spec));
-    }
-    double lat_wait = 0.0, hog_wait = 0.0;
-    for (auto& h : lat_handles) lat_wait += h.await().queue_wait_ns;
-    for (auto& h : hog_handles) hog_wait += h.await().queue_wait_ns;
-    mixed.seconds = static_cast<double>(jhpc::now_ns() - t0) * 1e-9;
-    mixed.latency_wait_us = lat_wait / lats / 1e3;
-    mixed.bandwidth_wait_us = hog_wait / hogs / 1e3;
+  std::vector<JobHandle> hog_handles, lat_handles;
+  const std::int64_t t0 = jhpc::now_ns();
+  for (int i = 0; i < hogs; ++i) hog_handles.push_back(mgr.submit(hog_job(i)));
+  for (int i = 0; i < lats; ++i) {
+    JobSpec spec = short_job(i);
+    spec.job_class = JobClass::kLatency;
+    lat_handles.push_back(mgr.submit(spec));
   }
-  results.push_back(mixed);
+  const double lat_wait_us = await_all(lat_handles, failed) / lats;
+  const double hog_wait_us = await_all(hog_handles, failed) / hogs;
+  const double mixed_seconds = static_cast<double>(jhpc::now_ns() - t0) * 1e-9;
   std::fprintf(stderr,
                "[bench_service] mixed: latency wait %.0f us vs bandwidth "
                "wait %.0f us (%d hogs, %d latency jobs)\n",
-               mixed.latency_wait_us, mixed.bandwidth_wait_us, hogs, lats);
+               lat_wait_us, hog_wait_us, hogs, lats);
 
   mgr.drain();
   const ServiceStats stats = mgr.stats();
   std::fprintf(stderr,
                "[bench_service] fleet: %llu universes created, %llu reused; "
-               "depot hwm %llu / %zu bytes\n",
+               "depot hwm %llu / %zu bytes; %d jobs failed\n",
                static_cast<unsigned long long>(stats.universes_created),
                static_cast<unsigned long long>(stats.universes_reused),
                static_cast<unsigned long long>(stats.depot.hwm_bytes),
-               cfg.depot_max_bytes);
-  write_json(json_path, results, shortr.jobs_per_min, min_jobs_per_min, stats,
-             cfg.depot_max_bytes);
+               cfg.depot_max_bytes, failed);
+  write_json(
+      args, "service", {},
+      {{{"mode", str("short")},
+        {"jobs", integer(jobs_per_sample)},
+        {"samples", integer(samples)},
+        {"seconds", num(shortr.seconds)},
+        {"jobs_per_min", num(shortr.rate.mean)},
+        {"jobs_per_min_lo", num(shortr.rate.lo)},
+        {"jobs_per_min_hi", num(shortr.rate.hi)}},
+       {{"mode", str("mixed")},
+        {"jobs", integer(hogs + lats)},
+        {"samples", integer(1)},
+        {"seconds", num(mixed_seconds)},
+        {"latency_wait_us", num(lat_wait_us)},
+        {"bandwidth_wait_us", num(hog_wait_us)}}},
+      {{"jobs_per_min", num(shortr.rate.mean)},
+       {"floor_jobs_per_min", num(args.floor)},
+       {"failed_jobs", integer(failed)},
+       {"universes_created",
+        integer(static_cast<std::int64_t>(stats.universes_created))},
+       {"universes_reused",
+        integer(static_cast<std::int64_t>(stats.universes_reused))},
+       {"depot_hwm_bytes",
+        integer(static_cast<std::int64_t>(stats.depot.hwm_bytes))},
+       {"depot_max_bytes",
+        integer(static_cast<std::int64_t>(cfg.depot_max_bytes))}});
 
+  int rc = 0;
+  if (failed > 0) {
+    std::fprintf(stderr, "[bench_service] FAIL: %d jobs did not complete\n",
+                 failed);
+    rc = 1;
+  }
   if (stats.depot.hwm_bytes > cfg.depot_max_bytes) {
     std::fprintf(stderr,
                  "[bench_service] FAIL: depot high-water mark exceeded the "
                  "ceiling\n");
-    return 1;
+    rc = 1;
   }
-  if (min_jobs_per_min > 0 && shortr.jobs_per_min < min_jobs_per_min) {
-    std::fprintf(stderr,
-                 "[bench_service] FAIL: %.0f jobs/min is below the floor of "
-                 "%.0f\n",
-                 shortr.jobs_per_min, min_jobs_per_min);
-    return 1;
-  }
-  return 0;
+  if (!above_floor(args, "service", "short-job rate", shortr.rate.mean,
+                   " jobs/min"))
+    rc = 1;
+  return rc;
 }

@@ -1,13 +1,13 @@
-// OMB-J benchmark bodies (see benchmarks.hpp).
+// OMB-J benchmark bodies (see benchmarks.hpp), written once for every
+// environment: the two binding Envs and NativeEnv (native_env.hpp).
 #include "jhpc/ombj/benchmarks.hpp"
 
-#include "jhpc/mv2j/win.hpp"
-
 #include <algorithm>
-#include <cstring>
 #include <string>
+#include <type_traits>
 
-#include "jhpc/support/clock.hpp"  // vtime via Comm::vtime_ns
+#include "jhpc/mv2j/win.hpp"
+#include "jhpc/ombj/native_env.hpp"
 #include "jhpc/support/error.hpp"
 #include "jhpc/support/sizes.hpp"
 #include "jhpc/support/stats.hpp"
@@ -26,17 +26,43 @@ constexpr int kPingTag = 1;
 constexpr int kPongTag = 2;
 constexpr int kAckTag = 3;
 
+/// Environments with the binding surface the native adapter leaves out:
+/// reduce_scatter, scan, the vectored collectives (element counts and
+/// displacements) and one-sided windows.
+template <typename EnvT>
+concept BindingEnv = requires(EnvT& env) { env.jvm(); };
+
 /// Sizes for a byte-payload sweep.
 std::vector<std::size_t> byte_sizes(const BenchOptions& opt) {
-  auto sizes = size_sweep(opt.min_size == 0 ? 1 : opt.min_size, opt.max_size);
-  return sizes;
+  return size_sweep(opt.min_size == 0 ? 1 : opt.min_size, opt.max_size);
 }
 
 /// Sizes for a float-payload sweep (reductions): multiples of 4 only.
 std::vector<std::size_t> float_sizes(const BenchOptions& opt) {
-  auto sizes =
-      size_sweep(opt.min_size < 4 ? 4 : opt.min_size, opt.max_size);
-  return sizes;
+  return size_sweep(opt.min_size < 4 ? 4 : opt.min_size, opt.max_size);
+}
+
+int bytes_of(std::size_t size) { return static_cast<int>(size); }
+int floats_of(std::size_t size) {
+  return static_cast<int>(size / sizeof(jfloat));
+}
+
+/// The one allocation step: runs `body(alloc)`, where `alloc(n)` returns
+/// room for `n` elements of T through the API the options select — a
+/// direct ByteBuffer, or a Java array (plain vectors on NativeEnv).
+template <typename T, typename EnvT, typename Body>
+std::vector<ResultRow> with_payloads(EnvT& env, const BenchOptions& opt,
+                                     Body&& body) {
+  if (opt.api == Api::kBuffer) {
+    return body(
+        [&env](std::size_t n) { return env.newDirectBuffer(n * sizeof(T)); });
+  }
+  return body(
+      [&env](std::size_t n) { return env.template newArray<T>(n); });
+}
+
+void require_buffer_api(const BenchOptions& opt, const char* why) {
+  if (opt.api != Api::kBuffer) throw UnsupportedOperationError(why);
 }
 
 // Deterministic per-iteration payload byte.
@@ -45,23 +71,26 @@ jbyte expected_byte(std::size_t j, int iteration) {
 }
 
 // Populate/verify helpers for the validation mode (Figure 18): element-
-// wise access through each API's natural accessors — the very thing the
-// experiment measures.
-void fill(minijvm::ByteBuffer& b, std::size_t n, int iteration) {
-  for (std::size_t j = 0; j < n; ++j) b.put(j, expected_byte(j, iteration));
+// wise access through each payload's natural accessor — the very thing
+// the experiment measures.
+jbyte byte_at(const minijvm::ByteBuffer& b, std::size_t j) { return b.get(j); }
+void set_byte(minijvm::ByteBuffer& b, std::size_t j, jbyte v) { b.put(j, v); }
+template <typename Array>
+jbyte byte_at(const Array& a, std::size_t j) {
+  return static_cast<jbyte>(a[j]);
 }
-void fill(minijvm::JArray<jbyte>& a, std::size_t n, int iteration) {
-  for (std::size_t j = 0; j < n; ++j) a[j] = expected_byte(j, iteration);
+template <typename Array>
+void set_byte(Array& a, std::size_t j, jbyte v) {
+  a[j] = static_cast<std::decay_t<decltype(a[j])>>(v);
 }
-void verify(const minijvm::ByteBuffer& b, std::size_t n, int iteration) {
+template <typename Payload>
+void fill(Payload& p, std::size_t n, int iteration) {
+  for (std::size_t j = 0; j < n; ++j) set_byte(p, j, expected_byte(j, iteration));
+}
+template <typename Payload>
+void verify(const Payload& p, std::size_t n, int iteration) {
   for (std::size_t j = 0; j < n; ++j) {
-    if (b.get(j) != expected_byte(j, iteration))
-      throw jhpc::Error("validation failed at byte " + std::to_string(j));
-  }
-}
-void verify(const minijvm::JArray<jbyte>& a, std::size_t n, int iteration) {
-  for (std::size_t j = 0; j < n; ++j) {
-    if (a[j] != expected_byte(j, iteration))
+    if (byte_at(p, j) != expected_byte(j, iteration))
       throw jhpc::Error("validation failed at byte " + std::to_string(j));
   }
 }
@@ -77,7 +106,20 @@ double rank_average(EnvT& env, double local) {
   return sum / env.COMM_WORLD().getSize();
 }
 
-/// Generic ping-pong latency over any (sendable, recvable) pair of
+/// One window of nonblocking traffic: `n` calls of each of `posts`, in
+/// order, then a wait on every request in posting order.
+template <typename... PostFns>
+void window(int n, PostFns&&... posts) {
+  std::vector<std::common_type_t<std::invoke_result_t<PostFns&>...>> reqs;
+  reqs.reserve(static_cast<std::size_t>(n) * sizeof...(posts));
+  const auto post_n = [&](auto& post) {
+    for (int w = 0; w < n; ++w) reqs.push_back(post());
+  };
+  (post_n(posts), ...);
+  for (auto& r : reqs) r.waitFor();
+}
+
+/// Ping-pong latency (osu_latency) over any (sendable, recvable) pair of
 /// payload handles.
 template <typename EnvT, typename Payload>
 std::vector<ResultRow> latency_loop(EnvT& env, const BenchOptions& opt,
@@ -88,7 +130,7 @@ std::vector<ResultRow> latency_loop(EnvT& env, const BenchOptions& opt,
   for (const std::size_t size : byte_sizes(opt)) {
     const int iters = opt.iterations_for(size);
     const int warmup = opt.warmup_for(size);
-    const int count = static_cast<int>(size);
+    const int count = bytes_of(size);
     world.barrier();
     if (rank == 0) {
       std::int64_t t0 = 0;
@@ -122,24 +164,20 @@ template <typename EnvT, typename Payload>
 std::vector<ResultRow> bandwidth_loop(EnvT& env, const BenchOptions& opt,
                                       Payload& sbuf, Payload& rbuf,
                                       Payload& ack) {
-  using RequestT = mv2j::Request;
   auto& world = env.COMM_WORLD();
   const int rank = world.getRank();
   std::vector<ResultRow> rows;
   for (const std::size_t size : byte_sizes(opt)) {
     const int iters = opt.iterations_for(size);
     const int warmup = opt.warmup_for(size);
-    const int count = static_cast<int>(size);
+    const int count = bytes_of(size);
     world.barrier();
     if (rank == 0) {
       std::int64_t t0 = 0;
       for (int i = 0; i < warmup + iters; ++i) {
         if (i == warmup) t0 = world.native().vtime_ns();
-        std::vector<RequestT> reqs;
-        reqs.reserve(static_cast<std::size_t>(opt.window));
-        for (int w = 0; w < opt.window; ++w)
-          reqs.push_back(world.iSend(sbuf, count, BYTE, 1, kPingTag));
-        RequestT::waitAll(reqs);
+        window(opt.window,
+               [&] { return world.iSend(sbuf, count, BYTE, 1, kPingTag); });
         world.recv(ack, 1, BYTE, 1, kAckTag);
       }
       const auto elapsed = world.native().vtime_ns() - t0;
@@ -148,11 +186,8 @@ std::vector<ResultRow> bandwidth_loop(EnvT& env, const BenchOptions& opt,
       rows.push_back({size, bandwidth_mbps(total_bytes, elapsed)});
     } else if (rank == 1) {
       for (int i = 0; i < warmup + iters; ++i) {
-        std::vector<RequestT> reqs;
-        reqs.reserve(static_cast<std::size_t>(opt.window));
-        for (int w = 0; w < opt.window; ++w)
-          reqs.push_back(world.iRecv(rbuf, count, BYTE, 0, kPingTag));
-        RequestT::waitAll(reqs);
+        window(opt.window,
+               [&] { return world.iRecv(rbuf, count, BYTE, 0, kPingTag); });
         world.send(ack, 1, BYTE, 0, kAckTag);
       }
     }
@@ -166,14 +201,13 @@ template <typename EnvT, typename Payload>
 std::vector<ResultRow> bibandwidth_loop(EnvT& env, const BenchOptions& opt,
                                         Payload& sbuf, Payload& rbuf,
                                         Payload& ack) {
-  using RequestT = mv2j::Request;
   auto& world = env.COMM_WORLD();
   const int rank = world.getRank();
   std::vector<ResultRow> rows;
   for (const std::size_t size : byte_sizes(opt)) {
     const int iters = opt.iterations_for(size);
     const int warmup = opt.warmup_for(size);
-    const int count = static_cast<int>(size);
+    const int count = bytes_of(size);
     world.barrier();
     if (rank > 1) {
       for (int b = 0; b < 2; ++b) world.barrier();
@@ -183,13 +217,10 @@ std::vector<ResultRow> bibandwidth_loop(EnvT& env, const BenchOptions& opt,
     std::int64_t t0 = 0;
     for (int i = 0; i < warmup + iters; ++i) {
       if (i == warmup) t0 = world.native().vtime_ns();
-      std::vector<RequestT> reqs;
-      reqs.reserve(static_cast<std::size_t>(2 * opt.window));
-      for (int w = 0; w < opt.window; ++w)
-        reqs.push_back(world.iRecv(rbuf, count, BYTE, peer, kPingTag));
-      for (int w = 0; w < opt.window; ++w)
-        reqs.push_back(world.iSend(sbuf, count, BYTE, peer, kPingTag));
-      RequestT::waitAll(reqs);
+      window(
+          opt.window,
+          [&] { return world.iRecv(rbuf, count, BYTE, peer, kPingTag); },
+          [&] { return world.iSend(sbuf, count, BYTE, peer, kPingTag); });
       // Handshake so windows stay aligned.
       if (rank == 0) {
         world.recv(ack, 1, BYTE, 1, kAckTag);
@@ -209,76 +240,6 @@ std::vector<ResultRow> bibandwidth_loop(EnvT& env, const BenchOptions& opt,
   return rows;
 }
 
-/// Collective latency loop: `op(count_bytes)` runs the collective once.
-template <typename EnvT, typename OpFn>
-std::vector<ResultRow> collective_loop(EnvT& env, const BenchOptions& opt,
-                                       const std::vector<std::size_t>& sizes,
-                                       OpFn&& op) {
-  auto& world = env.COMM_WORLD();
-  std::vector<ResultRow> rows;
-  for (const std::size_t size : sizes) {
-    const int iters = opt.iterations_for(size);
-    const int warmup = opt.warmup_for(size);
-    double local_ns = 0.0;
-    for (int i = 0; i < warmup + iters; ++i) {
-      world.barrier();
-      const auto t0 = world.native().vtime_ns();
-      op(size);
-      const auto dt = world.native().vtime_ns() - t0;
-      if (i >= warmup) local_ns += static_cast<double>(dt);
-    }
-    const double avg_us = rank_average(env, local_ns / iters / 1000.0);
-    if (world.getRank() == 0) rows.push_back({size, avg_us});
-  }
-  return rows;
-}
-
-}  // namespace
-
-// --- Point-to-point -----------------------------------------------------------
-
-template <typename EnvT>
-std::vector<ResultRow> run_latency(EnvT& env, const BenchOptions& opt) {
-  if (opt.api == Api::kBuffer) {
-    auto sbuf = env.newDirectBuffer(opt.max_size);
-    auto rbuf = env.newDirectBuffer(opt.max_size);
-    return latency_loop(env, opt, sbuf, rbuf);
-  }
-  auto sarr = env.template newArray<jbyte>(opt.max_size);
-  auto rarr = env.template newArray<jbyte>(opt.max_size);
-  return latency_loop(env, opt, sarr, rarr);
-}
-
-template <typename EnvT>
-std::vector<ResultRow> run_bandwidth(EnvT& env, const BenchOptions& opt) {
-  if (opt.api == Api::kBuffer) {
-    auto sbuf = env.newDirectBuffer(opt.max_size);
-    auto rbuf = env.newDirectBuffer(opt.max_size);
-    auto ack = env.newDirectBuffer(4);
-    return bandwidth_loop(env, opt, sbuf, rbuf, ack);
-  }
-  auto sarr = env.template newArray<jbyte>(opt.max_size);
-  auto rarr = env.template newArray<jbyte>(opt.max_size);
-  auto ack = env.template newArray<jbyte>(4);
-  return bandwidth_loop(env, opt, sarr, rarr, ack);
-}
-
-template <typename EnvT>
-std::vector<ResultRow> run_bibandwidth(EnvT& env, const BenchOptions& opt) {
-  if (opt.api == Api::kBuffer) {
-    auto sbuf = env.newDirectBuffer(opt.max_size);
-    auto rbuf = env.newDirectBuffer(opt.max_size);
-    auto ack = env.newDirectBuffer(4);
-    return bibandwidth_loop(env, opt, sbuf, rbuf, ack);
-  }
-  auto sarr = env.template newArray<jbyte>(opt.max_size);
-  auto rarr = env.template newArray<jbyte>(opt.max_size);
-  auto ack = env.template newArray<jbyte>(4);
-  return bibandwidth_loop(env, opt, sarr, rarr, ack);
-}
-
-namespace {
-
 /// osu_mbw_mr body: the first half of the ranks stream windows at their
 /// partner in the second half; aggregate bandwidth is total bytes over
 /// the slowest pair's (virtual) elapsed time.
@@ -287,7 +248,6 @@ std::vector<ResultRow> multi_bandwidth_loop(EnvT& env,
                                             const BenchOptions& opt,
                                             Payload& sbuf, Payload& rbuf,
                                             Payload& ack) {
-  using RequestT = mv2j::Request;
   auto& world = env.COMM_WORLD();
   const int rank = world.getRank();
   const int pairs = world.getSize() / 2;
@@ -300,23 +260,21 @@ std::vector<ResultRow> multi_bandwidth_loop(EnvT& env,
   for (const std::size_t size : byte_sizes(opt)) {
     const int iters = opt.iterations_for(size);
     const int warmup = opt.warmup_for(size);
-    const int count = static_cast<int>(size);
+    const int count = bytes_of(size);
     world.barrier();
     std::int64_t t0 = 0;
     if (active) {
       for (int i = 0; i < warmup + iters; ++i) {
         if (i == warmup) t0 = world.native().vtime_ns();
-        std::vector<RequestT> reqs;
-        reqs.reserve(static_cast<std::size_t>(opt.window));
         if (is_sender) {
-          for (int w = 0; w < opt.window; ++w)
-            reqs.push_back(world.iSend(sbuf, count, BYTE, peer, kPingTag));
-          RequestT::waitAll(reqs);
+          window(opt.window, [&] {
+            return world.iSend(sbuf, count, BYTE, peer, kPingTag);
+          });
           world.recv(ack, 1, BYTE, peer, kAckTag);
         } else {
-          for (int w = 0; w < opt.window; ++w)
-            reqs.push_back(world.iRecv(rbuf, count, BYTE, peer, kPingTag));
-          RequestT::waitAll(reqs);
+          window(opt.window, [&] {
+            return world.iRecv(rbuf, count, BYTE, peer, kPingTag);
+          });
           world.send(ack, 1, BYTE, peer, kAckTag);
         }
       }
@@ -342,25 +300,6 @@ std::vector<ResultRow> multi_bandwidth_loop(EnvT& env,
   return rows;
 }
 
-}  // namespace
-
-template <typename EnvT>
-std::vector<ResultRow> run_multi_bandwidth(EnvT& env,
-                                           const BenchOptions& opt) {
-  if (opt.api == Api::kBuffer) {
-    auto sbuf = env.newDirectBuffer(opt.max_size);
-    auto rbuf = env.newDirectBuffer(opt.max_size);
-    auto ack = env.newDirectBuffer(4);
-    return multi_bandwidth_loop(env, opt, sbuf, rbuf, ack);
-  }
-  auto sarr = env.template newArray<jbyte>(opt.max_size);
-  auto rarr = env.template newArray<jbyte>(opt.max_size);
-  auto ack = env.template newArray<jbyte>(4);
-  return multi_bandwidth_loop(env, opt, sarr, rarr, ack);
-}
-
-namespace {
-
 /// osu_multi_lat body: every pair (r, r+pairs) ping-pongs simultaneously;
 /// the reported latency is the average over pairs.
 template <typename EnvT, typename Payload>
@@ -378,7 +317,7 @@ std::vector<ResultRow> multi_latency_loop(EnvT& env, const BenchOptions& opt,
   for (const std::size_t size : byte_sizes(opt)) {
     const int iters = opt.iterations_for(size);
     const int warmup = opt.warmup_for(size);
-    const int count = static_cast<int>(size);
+    const int count = bytes_of(size);
     world.barrier();
     std::int64_t t0 = 0;
     if (active) {
@@ -408,195 +347,50 @@ std::vector<ResultRow> multi_latency_loop(EnvT& env, const BenchOptions& opt,
   return rows;
 }
 
-}  // namespace
-
-template <typename EnvT>
-std::vector<ResultRow> run_multi_latency(EnvT& env, const BenchOptions& opt) {
-  if (opt.api == Api::kBuffer) {
-    auto sbuf = env.newDirectBuffer(opt.max_size);
-    auto rbuf = env.newDirectBuffer(opt.max_size);
-    return multi_latency_loop(env, opt, sbuf, rbuf);
-  }
-  auto sarr = env.template newArray<jbyte>(opt.max_size);
-  auto rarr = env.template newArray<jbyte>(opt.max_size);
-  return multi_latency_loop(env, opt, sarr, rarr);
-}
-
-// --- Collectives ---------------------------------------------------------------
-
-template <typename EnvT>
-std::vector<ResultRow> run_bcast(EnvT& env, const BenchOptions& opt) {
+/// Collective latency loop: `op(size)` runs the collective once; the
+/// per-rank averages are averaged over ranks, as OMB does.
+template <typename EnvT, typename OpFn>
+std::vector<ResultRow> collective_loop(EnvT& env, const BenchOptions& opt,
+                                       const std::vector<std::size_t>& sizes,
+                                       OpFn&& op) {
   auto& world = env.COMM_WORLD();
-  if (opt.api == Api::kBuffer) {
-    auto buf = env.newDirectBuffer(opt.max_size);
-    return collective_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
-      world.bcast(buf, static_cast<int>(s), BYTE, 0);
-    });
+  std::vector<ResultRow> rows;
+  for (const std::size_t size : sizes) {
+    const int iters = opt.iterations_for(size);
+    const int warmup = opt.warmup_for(size);
+    double local_ns = 0.0;
+    for (int i = 0; i < warmup + iters; ++i) {
+      world.barrier();
+      const auto t0 = world.native().vtime_ns();
+      op(size);
+      const auto dt = world.native().vtime_ns() - t0;
+      if (i >= warmup) local_ns += static_cast<double>(dt);
+    }
+    const double avg_us = rank_average(env, local_ns / iters / 1000.0);
+    if (world.getRank() == 0) rows.push_back({size, avg_us});
   }
-  auto arr = env.template newArray<jbyte>(opt.max_size);
-  return collective_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
-    world.bcast(arr, static_cast<int>(s), BYTE, 0);
-  });
+  return rows;
 }
 
+/// osu_barrier: one row (size 0, average barrier latency in us).
 template <typename EnvT>
-std::vector<ResultRow> run_reduce(EnvT& env, const BenchOptions& opt) {
+std::vector<ResultRow> barrier_loop(EnvT& env, const BenchOptions& opt) {
   auto& world = env.COMM_WORLD();
-  const std::size_t max_count = opt.max_size / sizeof(jfloat);
-  if (opt.api == Api::kBuffer) {
-    auto sbuf = env.newDirectBuffer(opt.max_size);
-    auto rbuf = env.newDirectBuffer(opt.max_size);
-    return collective_loop(env, opt, float_sizes(opt), [&](std::size_t s) {
-      world.reduce(sbuf, rbuf, static_cast<int>(s / sizeof(jfloat)), FLOAT,
-                   SUM, 0);
-    });
+  const int iters = opt.iters_small;
+  const int warmup = opt.warmup_small;
+  double local_ns = 0.0;
+  for (int i = 0; i < warmup + iters; ++i) {
+    const auto t0 = world.native().vtime_ns();
+    world.barrier();
+    if (i >= warmup)
+      local_ns += static_cast<double>(world.native().vtime_ns() - t0);
   }
-  auto sarr = env.template newArray<jfloat>(max_count);
-  auto rarr = env.template newArray<jfloat>(max_count);
-  return collective_loop(env, opt, float_sizes(opt), [&](std::size_t s) {
-    world.reduce(sarr, rarr, static_cast<int>(s / sizeof(jfloat)), FLOAT,
-                 SUM, 0);
-  });
+  const double avg_us = rank_average(env, local_ns / iters / 1000.0);
+  std::vector<ResultRow> rows;
+  if (world.getRank() == 0) rows.push_back({0, avg_us});
+  return rows;
 }
 
-template <typename EnvT>
-std::vector<ResultRow> run_allreduce(EnvT& env, const BenchOptions& opt) {
-  auto& world = env.COMM_WORLD();
-  const std::size_t max_count = opt.max_size / sizeof(jfloat);
-  if (opt.api == Api::kBuffer) {
-    auto sbuf = env.newDirectBuffer(opt.max_size);
-    auto rbuf = env.newDirectBuffer(opt.max_size);
-    return collective_loop(env, opt, float_sizes(opt), [&](std::size_t s) {
-      world.allReduce(sbuf, rbuf, static_cast<int>(s / sizeof(jfloat)),
-                      FLOAT, SUM);
-    });
-  }
-  auto sarr = env.template newArray<jfloat>(max_count);
-  auto rarr = env.template newArray<jfloat>(max_count);
-  return collective_loop(env, opt, float_sizes(opt), [&](std::size_t s) {
-    world.allReduce(sarr, rarr, static_cast<int>(s / sizeof(jfloat)), FLOAT,
-                    SUM);
-  });
-}
-
-template <typename EnvT>
-std::vector<ResultRow> run_reduce_scatter(EnvT& env,
-                                          const BenchOptions& opt) {
-  auto& world = env.COMM_WORLD();
-  const auto n = static_cast<std::size_t>(world.getSize());
-  const std::size_t max_count = opt.max_size / sizeof(jfloat);
-  if (opt.api == Api::kBuffer) {
-    auto sbuf = env.newDirectBuffer(opt.max_size * n);
-    auto rbuf = env.newDirectBuffer(opt.max_size);
-    return collective_loop(env, opt, float_sizes(opt), [&](std::size_t s) {
-      world.reduceScatterBlock(sbuf, rbuf,
-                               static_cast<int>(s / sizeof(jfloat)), FLOAT,
-                               SUM);
-    });
-  }
-  auto sarr = env.template newArray<jfloat>(max_count * n);
-  auto rarr = env.template newArray<jfloat>(max_count);
-  return collective_loop(env, opt, float_sizes(opt), [&](std::size_t s) {
-    world.reduceScatterBlock(sarr, rarr,
-                             static_cast<int>(s / sizeof(jfloat)), FLOAT,
-                             SUM);
-  });
-}
-
-template <typename EnvT>
-std::vector<ResultRow> run_scan(EnvT& env, const BenchOptions& opt) {
-  auto& world = env.COMM_WORLD();
-  const std::size_t max_count = opt.max_size / sizeof(jfloat);
-  if (opt.api == Api::kBuffer) {
-    auto sbuf = env.newDirectBuffer(opt.max_size);
-    auto rbuf = env.newDirectBuffer(opt.max_size);
-    return collective_loop(env, opt, float_sizes(opt), [&](std::size_t s) {
-      world.scan(sbuf, rbuf, static_cast<int>(s / sizeof(jfloat)), FLOAT,
-                 SUM);
-    });
-  }
-  auto sarr = env.template newArray<jfloat>(max_count);
-  auto rarr = env.template newArray<jfloat>(max_count);
-  return collective_loop(env, opt, float_sizes(opt), [&](std::size_t s) {
-    world.scan(sarr, rarr, static_cast<int>(s / sizeof(jfloat)), FLOAT, SUM);
-  });
-}
-
-template <typename EnvT>
-std::vector<ResultRow> run_gather(EnvT& env, const BenchOptions& opt) {
-  auto& world = env.COMM_WORLD();
-  const auto n = static_cast<std::size_t>(world.getSize());
-  if (opt.api == Api::kBuffer) {
-    auto sbuf = env.newDirectBuffer(opt.max_size);
-    auto rbuf = env.newDirectBuffer(opt.max_size * n);
-    return collective_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
-      world.gather(sbuf, static_cast<int>(s), BYTE, rbuf, 0);
-    });
-  }
-  auto sarr = env.template newArray<jbyte>(opt.max_size);
-  auto rarr = env.template newArray<jbyte>(opt.max_size * n);
-  return collective_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
-    world.gather(sarr, static_cast<int>(s), BYTE, rarr, 0);
-  });
-}
-
-template <typename EnvT>
-std::vector<ResultRow> run_scatter(EnvT& env, const BenchOptions& opt) {
-  auto& world = env.COMM_WORLD();
-  const auto n = static_cast<std::size_t>(world.getSize());
-  if (opt.api == Api::kBuffer) {
-    auto sbuf = env.newDirectBuffer(opt.max_size * n);
-    auto rbuf = env.newDirectBuffer(opt.max_size);
-    return collective_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
-      world.scatter(sbuf, static_cast<int>(s), BYTE, rbuf, 0);
-    });
-  }
-  auto sarr = env.template newArray<jbyte>(opt.max_size * n);
-  auto rarr = env.template newArray<jbyte>(opt.max_size);
-  return collective_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
-    world.scatter(sarr, static_cast<int>(s), BYTE, rarr, 0);
-  });
-}
-
-template <typename EnvT>
-std::vector<ResultRow> run_allgather(EnvT& env, const BenchOptions& opt) {
-  auto& world = env.COMM_WORLD();
-  const auto n = static_cast<std::size_t>(world.getSize());
-  if (opt.api == Api::kBuffer) {
-    auto sbuf = env.newDirectBuffer(opt.max_size);
-    auto rbuf = env.newDirectBuffer(opt.max_size * n);
-    return collective_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
-      world.allGather(sbuf, static_cast<int>(s), BYTE, rbuf);
-    });
-  }
-  auto sarr = env.template newArray<jbyte>(opt.max_size);
-  auto rarr = env.template newArray<jbyte>(opt.max_size * n);
-  return collective_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
-    world.allGather(sarr, static_cast<int>(s), BYTE, rarr);
-  });
-}
-
-template <typename EnvT>
-std::vector<ResultRow> run_alltoall(EnvT& env, const BenchOptions& opt) {
-  auto& world = env.COMM_WORLD();
-  const auto n = static_cast<std::size_t>(world.getSize());
-  if (opt.api == Api::kBuffer) {
-    auto sbuf = env.newDirectBuffer(opt.max_size * n);
-    auto rbuf = env.newDirectBuffer(opt.max_size * n);
-    return collective_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
-      world.allToAll(sbuf, static_cast<int>(s), BYTE, rbuf);
-    });
-  }
-  auto sarr = env.template newArray<jbyte>(opt.max_size * n);
-  auto rarr = env.template newArray<jbyte>(opt.max_size * n);
-  return collective_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
-    world.allToAll(sarr, static_cast<int>(s), BYTE, rarr);
-  });
-}
-
-// --- Vectored collectives --------------------------------------------------------
-
-namespace {
 /// Equal per-rank counts/displacements in elements for the v-variants
 /// (OMB's vectored benchmarks use uniform counts; the v-API is the
 /// subject, not irregularity).
@@ -612,120 +406,15 @@ VectorLayout uniform_layout(int ranks, std::size_t count) {
   }
   return l;
 }
-}  // namespace
 
-template <typename EnvT>
-std::vector<ResultRow> run_gatherv(EnvT& env, const BenchOptions& opt) {
-  auto& world = env.COMM_WORLD();
-  const auto n = static_cast<std::size_t>(world.getSize());
-  if (opt.api == Api::kBuffer) {
-    auto sbuf = env.newDirectBuffer(opt.max_size);
-    auto rbuf = env.newDirectBuffer(opt.max_size * n);
-    return collective_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
-      const auto l = uniform_layout(world.getSize(), s);
-      world.gatherv(sbuf, static_cast<int>(s), BYTE, rbuf, l.counts,
-                    l.displs, 0);
-    });
-  }
-  auto sarr = env.template newArray<jbyte>(opt.max_size);
-  auto rarr = env.template newArray<jbyte>(opt.max_size * n);
-  return collective_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
-    const auto l = uniform_layout(world.getSize(), s);
-    world.gatherv(sarr, static_cast<int>(s), BYTE, rarr, l.counts, l.displs,
-                  0);
-  });
-}
-
-template <typename EnvT>
-std::vector<ResultRow> run_scatterv(EnvT& env, const BenchOptions& opt) {
-  auto& world = env.COMM_WORLD();
-  const auto n = static_cast<std::size_t>(world.getSize());
-  if (opt.api == Api::kBuffer) {
-    auto sbuf = env.newDirectBuffer(opt.max_size * n);
-    auto rbuf = env.newDirectBuffer(opt.max_size);
-    return collective_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
-      const auto l = uniform_layout(world.getSize(), s);
-      world.scatterv(sbuf, l.counts, l.displs, BYTE, rbuf,
-                     static_cast<int>(s), 0);
-    });
-  }
-  auto sarr = env.template newArray<jbyte>(opt.max_size * n);
-  auto rarr = env.template newArray<jbyte>(opt.max_size);
-  return collective_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
-    const auto l = uniform_layout(world.getSize(), s);
-    world.scatterv(sarr, l.counts, l.displs, BYTE, rarr,
-                   static_cast<int>(s), 0);
-  });
-}
-
-template <typename EnvT>
-std::vector<ResultRow> run_allgatherv(EnvT& env, const BenchOptions& opt) {
-  auto& world = env.COMM_WORLD();
-  const auto n = static_cast<std::size_t>(world.getSize());
-  if (opt.api == Api::kBuffer) {
-    auto sbuf = env.newDirectBuffer(opt.max_size);
-    auto rbuf = env.newDirectBuffer(opt.max_size * n);
-    return collective_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
-      const auto l = uniform_layout(world.getSize(), s);
-      world.allGatherv(sbuf, static_cast<int>(s), BYTE, rbuf, l.counts,
-                       l.displs);
-    });
-  }
-  auto sarr = env.template newArray<jbyte>(opt.max_size);
-  auto rarr = env.template newArray<jbyte>(opt.max_size * n);
-  return collective_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
-    const auto l = uniform_layout(world.getSize(), s);
-    world.allGatherv(sarr, static_cast<int>(s), BYTE, rarr, l.counts,
-                     l.displs);
-  });
-}
-
-template <typename EnvT>
-std::vector<ResultRow> run_alltoallv(EnvT& env, const BenchOptions& opt) {
-  auto& world = env.COMM_WORLD();
-  const auto n = static_cast<std::size_t>(world.getSize());
-  if (opt.api == Api::kBuffer) {
-    auto sbuf = env.newDirectBuffer(opt.max_size * n);
-    auto rbuf = env.newDirectBuffer(opt.max_size * n);
-    return collective_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
-      const auto l = uniform_layout(world.getSize(), s);
-      world.allToAllv(sbuf, l.counts, l.displs, BYTE, rbuf, l.counts,
-                      l.displs);
-    });
-  }
-  auto sarr = env.template newArray<jbyte>(opt.max_size * n);
-  auto rarr = env.template newArray<jbyte>(opt.max_size * n);
-  return collective_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
-    const auto l = uniform_layout(world.getSize(), s);
-    world.allToAllv(sarr, l.counts, l.displs, BYTE, rarr, l.counts,
-                    l.displs);
-  });
-}
-
-template <typename EnvT>
-std::vector<ResultRow> run_barrier(EnvT& env, const BenchOptions& opt) {
-  auto& world = env.COMM_WORLD();
-  const int iters = opt.iters_small;
-  const int warmup = opt.warmup_small;
-  double local_ns = 0.0;
-  for (int i = 0; i < warmup + iters; ++i) {
-    const auto t0 = world.native().vtime_ns();
-    world.barrier();
-    if (i >= warmup) local_ns += static_cast<double>(world.native().vtime_ns() - t0);
-  }
-  const double avg_us = rank_average(env, local_ns / iters / 1000.0);
-  std::vector<ResultRow> rows;
-  if (world.getRank() == 0) rows.push_back({0, avg_us});
-  return rows;
-}
-
-// --- Nonblocking collectives (overlap benchmarks) -------------------------------
-
-namespace {
-
-/// Shared body for osu_ibcast / osu_iallreduce. `init(size)` posts the
-/// nonblocking operation and returns the bindings Request. All timing is
-/// in virtual time: vtime_ns() charges elapsed CPU, so the dummy compute
+/// osu_ibcast / osu_iallreduce: rows carry the pure (no-compute) latency
+/// in us and the communication/computation overlap percentage. Per size,
+/// the pure init+wait latency t_pure is measured first, a dummy compute
+/// loop is calibrated to t_pure, and the overlapped pass times
+/// init;compute;wait as t_total, giving
+/// overlap = 100 * (1 - (t_total - t_compute) / t_pure). `init(size)`
+/// posts the nonblocking operation and returns its request. All timing
+/// is in virtual time: vtime_ns() charges elapsed CPU, so the compute
 /// loop shows up on the virtual clock at its real cost while the
 /// schedule's communication progresses underneath it.
 template <typename EnvT, typename InitFn>
@@ -754,16 +443,19 @@ std::vector<ResultRow> overlap_loop(EnvT& env, const BenchOptions& opt,
     }
     const double t_pure = pure_ns / iters;
 
-    // Calibrate the compute loop to roughly t_pure of virtual time.
+    // Calibrate the compute loop to roughly t_pure of virtual time. A
+    // clock that did not move (the deterministic clock charges no
+    // compute) keeps the base count instead of scaling it without bound.
     std::int64_t spins = 1000;
     {
       const auto t0 = world.native().vtime_ns();
       compute(spins);
-      const auto dt =
-          std::max<std::int64_t>(world.native().vtime_ns() - t0, 1);
-      spins = std::max<std::int64_t>(
-          1, static_cast<std::int64_t>(static_cast<double>(spins) * t_pure /
-                                       static_cast<double>(dt)));
+      const auto dt = world.native().vtime_ns() - t0;
+      if (dt > 0) {
+        spins = std::max<std::int64_t>(
+            1, static_cast<std::int64_t>(static_cast<double>(spins) *
+                                         t_pure / static_cast<double>(dt)));
+      }
     }
 
     // Pass 2: the calibrated compute alone, then init;compute;wait.
@@ -802,205 +494,322 @@ std::vector<ResultRow> overlap_loop(EnvT& env, const BenchOptions& opt,
   return rows;
 }
 
-}  // namespace
-
+/// One-sided benchmarks (osu_put_latency / osu_get_bw), ByteBuffer API
+/// only: an array origin would stage a copy, which defeats the zero-copy
+/// transfer these benchmarks measure. put_latency times one
+/// passive-target lock/put/unlock round per iteration (unlock forces
+/// target completion); get_bw streams `window` gets per shared epoch.
 template <typename EnvT>
-std::vector<ResultRow> run_ibcast(EnvT& env, const BenchOptions& opt) {
-  if (opt.api != Api::kBuffer) {
-    throw UnsupportedOperationError(
-        "nonblocking collectives are ByteBuffer-only");
-  }
+std::vector<ResultRow> rma_loop(EnvT& env, const BenchOptions& opt,
+                                bool gets) {
+  require_buffer_api(opt,
+                     "one-sided benchmarks require the ByteBuffer API (an "
+                     "array origin would reintroduce the staging copy RMA "
+                     "avoids)");
   auto& world = env.COMM_WORLD();
-  auto buf = env.newDirectBuffer(opt.max_size);
-  return overlap_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
-    return world.iBcast(buf, static_cast<int>(s), BYTE, 0);
-  });
-}
-
-template <typename EnvT>
-std::vector<ResultRow> run_iallreduce(EnvT& env, const BenchOptions& opt) {
-  if (opt.api != Api::kBuffer) {
-    throw UnsupportedOperationError(
-        "nonblocking collectives are ByteBuffer-only");
-  }
-  auto& world = env.COMM_WORLD();
-  auto sbuf = env.newDirectBuffer(opt.max_size);
-  auto rbuf = env.newDirectBuffer(opt.max_size);
-  return overlap_loop(env, opt, float_sizes(opt), [&](std::size_t s) {
-    return world.iAllReduce(sbuf, rbuf, static_cast<int>(s / sizeof(jfloat)),
-                            FLOAT, SUM);
-  });
-}
-
-// --- One-sided benchmarks (osu_put_latency / osu_get_bw) --------------------
-
-template <typename EnvT>
-std::vector<ResultRow> run_put_latency(EnvT& env, const BenchOptions& opt) {
-  if (opt.api != Api::kBuffer) {
-    throw UnsupportedOperationError(
-        "one-sided benchmarks require the ByteBuffer API (an array origin "
-        "would reintroduce the staging copy RMA avoids)");
-  }
-  auto& world = env.COMM_WORLD();
-  const int rank = world.getRank();
   auto origin = env.newDirectBuffer(opt.max_size);
   auto win = world.winAllocate(opt.max_size);
   std::vector<ResultRow> rows;
   for (const std::size_t size : byte_sizes(opt)) {
     const int iters = opt.iterations_for(size);
     const int warmup = opt.warmup_for(size);
-    const int count = static_cast<int>(size);
+    const int count = bytes_of(size);
     world.barrier();
-    if (rank == 0) {
+    if (world.getRank() == 0) {
       std::int64_t t0 = 0;
       for (int i = 0; i < warmup + iters; ++i) {
         if (i == warmup) t0 = world.native().vtime_ns();
-        win.lock(minimpi::LockType::kExclusive, 1);
-        win.put(origin, count, BYTE, 1, 0);
-        win.unlock(1);  // forces origin AND target completion
-      }
-      const auto elapsed = world.native().vtime_ns() - t0;
-      rows.push_back({size, static_cast<double>(elapsed) / (iters * 1000.0)});
-    }
-    world.barrier();
-  }
-  win.free();
-  return rows;
-}
-
-template <typename EnvT>
-std::vector<ResultRow> run_get_bw(EnvT& env, const BenchOptions& opt) {
-  if (opt.api != Api::kBuffer) {
-    throw UnsupportedOperationError(
-        "one-sided benchmarks require the ByteBuffer API (an array origin "
-        "would reintroduce the staging copy RMA avoids)");
-  }
-  auto& world = env.COMM_WORLD();
-  const int rank = world.getRank();
-  auto origin = env.newDirectBuffer(opt.max_size);
-  auto win = world.winAllocate(opt.max_size);
-  std::vector<ResultRow> rows;
-  for (const std::size_t size : byte_sizes(opt)) {
-    const int iters = opt.iterations_for(size);
-    const int warmup = opt.warmup_for(size);
-    const int count = static_cast<int>(size);
-    world.barrier();
-    if (rank == 0) {
-      std::int64_t t0 = 0;
-      for (int i = 0; i < warmup + iters; ++i) {
-        if (i == warmup) t0 = world.native().vtime_ns();
-        win.lock(minimpi::LockType::kShared, 1);
-        for (int w = 0; w < opt.window; ++w)
-          win.get(origin, count, BYTE, 1, 0);
+        if (gets) {
+          win.lock(minimpi::LockType::kShared, 1);
+          for (int w = 0; w < opt.window; ++w)
+            win.get(origin, count, BYTE, 1, 0);
+        } else {
+          win.lock(minimpi::LockType::kExclusive, 1);
+          win.put(origin, count, BYTE, 1, 0);
+        }
         win.unlock(1);
       }
       const auto elapsed = world.native().vtime_ns() - t0;
-      const auto total_bytes =
-          static_cast<std::int64_t>(size) * opt.window * iters;
-      rows.push_back({size, bandwidth_mbps(total_bytes, elapsed)});
+      rows.push_back(
+          {size, gets ? bandwidth_mbps(static_cast<std::int64_t>(size) *
+                                           opt.window * iters,
+                                       elapsed)
+                      : static_cast<double>(elapsed) / (iters * 1000.0)});
     }
     world.barrier();
   }
   win.free();
   return rows;
 }
+
+/// ULFM resilience mode (--kill-rank): the collective latency sweep under
+/// ERRORS_RETURN while the fault plan kills ranks mid-run. A death
+/// surfaces as RankFailedError (first observer; the collective
+/// auto-revokes) or CommRevokedError (everyone else); the survivors
+/// shrink to a dense survivors-only communicator, re-agree on the loop
+/// position — the failure can surface one collective apart on different
+/// ranks — and continue the sweep. Rank 0 must survive: it reports the
+/// per-size averages over the iterations that completed. Only the
+/// size-independent collectives (bcast, allreduce) run in this mode:
+/// their buffers do not scale with the communicator size, so the same
+/// payloads stay valid after a shrink. `op(comm, size)` runs the
+/// collective once on the current communicator; the recovery allreduces
+/// run on the native communicator underneath, like the rank averages.
+template <typename EnvT, typename OpFn>
+std::vector<ResultRow> resilient_loop(EnvT& env, const BenchOptions& opt,
+                                      const std::vector<std::size_t>& sizes,
+                                      OpFn&& op) {
+  auto comm = env.COMM_WORLD();
+  comm.setErrhandler(minimpi::Errhandler::kErrorsReturn);
+  // Shrink to the survivors, then agree on the furthest loop position.
+  // Loops in case another rank dies during the recovery itself.
+  const auto recover = [&comm](int& i) {
+    while (true) {
+      try {
+        comm = comm.shrink();
+        int agreed = i;
+        comm.native().allreduce(&i, &agreed, 1, minimpi::BasicKind::kInt,
+                                minimpi::ReduceOp::kMax);
+        i = agreed;
+        return;
+      } catch (const minimpi::RankFailedError&) {
+      } catch (const minimpi::CommRevokedError&) {
+      }
+    }
+  };
+
+  const int world_rank = env.COMM_WORLD().getRank();
+  std::vector<ResultRow> rows;
+  for (const std::size_t size : sizes) {
+    const int iters = opt.iterations_for(size);
+    const int warmup = opt.warmup_for(size);
+    double local_ns = 0.0;
+    int timed = 0;
+    for (int i = 0; i < warmup + iters; ++i) {
+      try {
+        comm.barrier();
+        const auto t0 = comm.native().vtime_ns();
+        op(comm, size);
+        if (i >= warmup) {
+          local_ns += static_cast<double>(comm.native().vtime_ns() - t0);
+          ++timed;
+        }
+      } catch (const minimpi::RankFailedError&) {
+        recover(i);
+      } catch (const minimpi::CommRevokedError&) {
+        recover(i);
+      }
+    }
+    double avg_us = timed > 0 ? local_ns / timed / 1000.0 : 0.0;
+    try {
+      double sum_us = 0.0;
+      comm.native().allreduce(&avg_us, &sum_us, 1,
+                              minimpi::BasicKind::kDouble,
+                              minimpi::ReduceOp::kSum);
+      avg_us = sum_us / comm.getSize();
+    } catch (const minimpi::RankFailedError&) {
+      int scratch = 0;
+      recover(scratch);
+    } catch (const minimpi::CommRevokedError&) {
+      int scratch = 0;
+      recover(scratch);
+    }
+    if (world_rank == 0) rows.push_back({size, avg_us});
+  }
+  return rows;
+}
+
+std::vector<ResultRow> run_resilient(BenchKind kind, auto& env,
+                                     const BenchOptions& opt) {
+  switch (kind) {
+    case BenchKind::kBcast:
+      return with_payloads<jbyte>(env, opt, [&](auto alloc) {
+        auto buf = alloc(opt.max_size);
+        return resilient_loop(env, opt, byte_sizes(opt),
+                              [&](auto& comm, std::size_t s) {
+                                comm.bcast(buf, bytes_of(s), BYTE, 0);
+                              });
+      });
+    case BenchKind::kAllreduce:
+      return with_payloads<jfloat>(env, opt, [&](auto alloc) {
+        auto sbuf = alloc(opt.max_size / sizeof(jfloat));
+        auto rbuf = alloc(opt.max_size / sizeof(jfloat));
+        return resilient_loop(env, opt, float_sizes(opt),
+                              [&](auto& comm, std::size_t s) {
+                                comm.allReduce(sbuf, rbuf, floats_of(s),
+                                               FLOAT, SUM);
+                              });
+      });
+    default:
+      throw UnsupportedOperationError(
+          std::string("resilience mode (--kill-rank) supports bcast and "
+                      "allreduce, not ") +
+          bench_name(kind));
+  }
+}
+
+}  // namespace
 
 template <typename EnvT>
 std::vector<ResultRow> run_benchmark(BenchKind kind, EnvT& env,
                                      const BenchOptions& opt) {
-  if (opt.resilient) {
+  if (opt.resilient) return run_resilient(kind, env, opt);
+  auto& world = env.COMM_WORLD();
+  const auto n = static_cast<std::size_t>(world.getSize());
+  const std::size_t bytes = opt.max_size;
+  const std::size_t floats = opt.max_size / sizeof(jfloat);
+  // A byte-payload collective over `ins` and `outs` elements per rank.
+  const auto byte_coll = [&](std::size_t ins, std::size_t outs, auto op) {
+    return with_payloads<jbyte>(env, opt, [&](auto alloc) {
+      auto sbuf = alloc(ins);
+      auto rbuf = alloc(outs);
+      return collective_loop(env, opt, byte_sizes(opt),
+                             [&](std::size_t s) { op(sbuf, rbuf, s); });
+    });
+  };
+  // A float reduction over `ins` and `outs` elements per rank.
+  const auto float_coll = [&](std::size_t ins, std::size_t outs, auto op) {
+    return with_payloads<jfloat>(env, opt, [&](auto alloc) {
+      auto sbuf = alloc(ins);
+      auto rbuf = alloc(outs);
+      return collective_loop(env, opt, float_sizes(opt),
+                             [&](std::size_t s) { op(sbuf, rbuf, s); });
+    });
+  };
+
+  switch (kind) {
+    case BenchKind::kLatency:
+    case BenchKind::kMultiLat:
+      return with_payloads<jbyte>(env, opt, [&](auto alloc) {
+        auto sbuf = alloc(bytes);
+        auto rbuf = alloc(bytes);
+        return kind == BenchKind::kLatency
+                   ? latency_loop(env, opt, sbuf, rbuf)
+                   : multi_latency_loop(env, opt, sbuf, rbuf);
+      });
+    case BenchKind::kBandwidth:
+    case BenchKind::kBiBandwidth:
+    case BenchKind::kMultiBw:
+      return with_payloads<jbyte>(env, opt, [&](auto alloc) {
+        auto sbuf = alloc(bytes);
+        auto rbuf = alloc(bytes);
+        auto ack = alloc(4);
+        if (kind == BenchKind::kBandwidth)
+          return bandwidth_loop(env, opt, sbuf, rbuf, ack);
+        if (kind == BenchKind::kBiBandwidth)
+          return bibandwidth_loop(env, opt, sbuf, rbuf, ack);
+        return multi_bandwidth_loop(env, opt, sbuf, rbuf, ack);
+      });
+    case BenchKind::kBcast:
+      return with_payloads<jbyte>(env, opt, [&](auto alloc) {
+        auto buf = alloc(bytes);
+        return collective_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
+          world.bcast(buf, bytes_of(s), BYTE, 0);
+        });
+      });
+    case BenchKind::kReduce:
+      return float_coll(floats, floats, [&](auto& s, auto& r, std::size_t z) {
+        world.reduce(s, r, floats_of(z), FLOAT, SUM, 0);
+      });
+    case BenchKind::kAllreduce:
+      return float_coll(floats, floats, [&](auto& s, auto& r, std::size_t z) {
+        world.allReduce(s, r, floats_of(z), FLOAT, SUM);
+      });
+    case BenchKind::kGather:
+      return byte_coll(bytes, bytes * n, [&](auto& s, auto& r, std::size_t z) {
+        world.gather(s, bytes_of(z), BYTE, r, 0);
+      });
+    case BenchKind::kScatter:
+      return byte_coll(bytes * n, bytes, [&](auto& s, auto& r, std::size_t z) {
+        world.scatter(s, bytes_of(z), BYTE, r, 0);
+      });
+    case BenchKind::kAllgather:
+      return byte_coll(bytes, bytes * n, [&](auto& s, auto& r, std::size_t z) {
+        world.allGather(s, bytes_of(z), BYTE, r);
+      });
+    case BenchKind::kAlltoall:
+      return byte_coll(bytes * n, bytes * n,
+                       [&](auto& s, auto& r, std::size_t z) {
+                         world.allToAll(s, bytes_of(z), BYTE, r);
+                       });
+    case BenchKind::kBarrier:
+      return barrier_loop(env, opt);
+    case BenchKind::kIbcast: {
+      require_buffer_api(opt, "nonblocking collectives are ByteBuffer-only");
+      auto buf = env.newDirectBuffer(bytes);
+      return overlap_loop(env, opt, byte_sizes(opt), [&](std::size_t s) {
+        return world.iBcast(buf, bytes_of(s), BYTE, 0);
+      });
+    }
+    case BenchKind::kIallreduce: {
+      require_buffer_api(opt, "nonblocking collectives are ByteBuffer-only");
+      auto sbuf = env.newDirectBuffer(bytes);
+      auto rbuf = env.newDirectBuffer(bytes);
+      return overlap_loop(env, opt, float_sizes(opt), [&](std::size_t s) {
+        return world.iAllReduce(sbuf, rbuf, floats_of(s), FLOAT, SUM);
+      });
+    }
+    default:
+      break;
+  }
+  if constexpr (BindingEnv<EnvT>) {
     switch (kind) {
-      case BenchKind::kBcast: return run_bcast_resilient(env, opt);
-      case BenchKind::kAllreduce: return run_allreduce_resilient(env, opt);
+      case BenchKind::kReduceScatter:
+        return float_coll(floats * n, floats,
+                          [&](auto& s, auto& r, std::size_t z) {
+                            world.reduceScatterBlock(s, r, floats_of(z),
+                                                     FLOAT, SUM);
+                          });
+      case BenchKind::kScan:
+        return float_coll(floats, floats,
+                          [&](auto& s, auto& r, std::size_t z) {
+                            world.scan(s, r, floats_of(z), FLOAT, SUM);
+                          });
+      case BenchKind::kGatherv:
+        return byte_coll(bytes, bytes * n,
+                         [&](auto& s, auto& r, std::size_t z) {
+                           const auto l = uniform_layout(world.getSize(), z);
+                           world.gatherv(s, bytes_of(z), BYTE, r, l.counts,
+                                         l.displs, 0);
+                         });
+      case BenchKind::kScatterv:
+        return byte_coll(bytes * n, bytes,
+                         [&](auto& s, auto& r, std::size_t z) {
+                           const auto l = uniform_layout(world.getSize(), z);
+                           world.scatterv(s, l.counts, l.displs, BYTE, r,
+                                          bytes_of(z), 0);
+                         });
+      case BenchKind::kAllgatherv:
+        return byte_coll(bytes, bytes * n,
+                         [&](auto& s, auto& r, std::size_t z) {
+                           const auto l = uniform_layout(world.getSize(), z);
+                           world.allGatherv(s, bytes_of(z), BYTE, r, l.counts,
+                                            l.displs);
+                         });
+      case BenchKind::kAlltoallv:
+        return byte_coll(bytes * n, bytes * n,
+                         [&](auto& s, auto& r, std::size_t z) {
+                           const auto l = uniform_layout(world.getSize(), z);
+                           world.allToAllv(s, l.counts, l.displs, BYTE, r,
+                                           l.counts, l.displs);
+                         });
+      case BenchKind::kPutLatency:
+        return rma_loop(env, opt, /*gets=*/false);
+      case BenchKind::kGetBandwidth:
+        return rma_loop(env, opt, /*gets=*/true);
       default:
-        throw UnsupportedOperationError(
-            std::string("resilience mode (--kill-rank) supports bcast and "
-                        "allreduce, not ") +
-            bench_name(kind));
+        break;
     }
   }
-  switch (kind) {
-    case BenchKind::kLatency: return run_latency(env, opt);
-    case BenchKind::kBandwidth: return run_bandwidth(env, opt);
-    case BenchKind::kBiBandwidth: return run_bibandwidth(env, opt);
-    case BenchKind::kMultiBw: return run_multi_bandwidth(env, opt);
-    case BenchKind::kMultiLat: return run_multi_latency(env, opt);
-    case BenchKind::kBcast: return run_bcast(env, opt);
-    case BenchKind::kReduce: return run_reduce(env, opt);
-    case BenchKind::kAllreduce: return run_allreduce(env, opt);
-    case BenchKind::kReduceScatter: return run_reduce_scatter(env, opt);
-    case BenchKind::kScan: return run_scan(env, opt);
-    case BenchKind::kGather: return run_gather(env, opt);
-    case BenchKind::kScatter: return run_scatter(env, opt);
-    case BenchKind::kAllgather: return run_allgather(env, opt);
-    case BenchKind::kAlltoall: return run_alltoall(env, opt);
-    case BenchKind::kGatherv: return run_gatherv(env, opt);
-    case BenchKind::kScatterv: return run_scatterv(env, opt);
-    case BenchKind::kAllgatherv: return run_allgatherv(env, opt);
-    case BenchKind::kAlltoallv: return run_alltoallv(env, opt);
-    case BenchKind::kBarrier: return run_barrier(env, opt);
-    case BenchKind::kIbcast: return run_ibcast(env, opt);
-    case BenchKind::kIallreduce: return run_iallreduce(env, opt);
-    case BenchKind::kPutLatency: return run_put_latency(env, opt);
-    case BenchKind::kGetBandwidth: return run_get_bw(env, opt);
-  }
-  throw InternalError("unknown benchmark kind");
+  throw UnsupportedOperationError(
+      std::string("native benchmark not implemented for ") + bench_name(kind));
 }
 
-// --- Explicit instantiations for both binding environments -------------------
-
-#define JHPC_OMBJ_INSTANTIATE(EnvT)                                          \
-  template std::vector<ResultRow> run_latency<EnvT>(EnvT&,                   \
-                                                    const BenchOptions&);    \
-  template std::vector<ResultRow> run_bandwidth<EnvT>(EnvT&,                 \
-                                                      const BenchOptions&);  \
-  template std::vector<ResultRow> run_bibandwidth<EnvT>(                     \
-      EnvT&, const BenchOptions&);                                           \
-  template std::vector<ResultRow> run_multi_bandwidth<EnvT>(                 \
-      EnvT&, const BenchOptions&);                                           \
-  template std::vector<ResultRow> run_multi_latency<EnvT>(                   \
-      EnvT&, const BenchOptions&);                                           \
-  template std::vector<ResultRow> run_reduce_scatter<EnvT>(                  \
-      EnvT&, const BenchOptions&);                                           \
-  template std::vector<ResultRow> run_scan<EnvT>(EnvT&,                      \
-                                                 const BenchOptions&);       \
-  template std::vector<ResultRow> run_bcast<EnvT>(EnvT&,                     \
-                                                  const BenchOptions&);      \
-  template std::vector<ResultRow> run_reduce<EnvT>(EnvT&,                    \
-                                                   const BenchOptions&);     \
-  template std::vector<ResultRow> run_allreduce<EnvT>(EnvT&,                 \
-                                                      const BenchOptions&);  \
-  template std::vector<ResultRow> run_gather<EnvT>(EnvT&,                    \
-                                                   const BenchOptions&);     \
-  template std::vector<ResultRow> run_scatter<EnvT>(EnvT&,                   \
-                                                    const BenchOptions&);    \
-  template std::vector<ResultRow> run_allgather<EnvT>(EnvT&,                 \
-                                                      const BenchOptions&);  \
-  template std::vector<ResultRow> run_alltoall<EnvT>(EnvT&,                  \
-                                                     const BenchOptions&);   \
-  template std::vector<ResultRow> run_gatherv<EnvT>(EnvT&,                   \
-                                                    const BenchOptions&);    \
-  template std::vector<ResultRow> run_scatterv<EnvT>(EnvT&,                  \
-                                                     const BenchOptions&);   \
-  template std::vector<ResultRow> run_allgatherv<EnvT>(                      \
-      EnvT&, const BenchOptions&);                                           \
-  template std::vector<ResultRow> run_alltoallv<EnvT>(EnvT&,                 \
-                                                      const BenchOptions&);  \
-  template std::vector<ResultRow> run_barrier<EnvT>(EnvT&,                   \
-                                                    const BenchOptions&);    \
-  template std::vector<ResultRow> run_ibcast<EnvT>(EnvT&,                    \
-                                                   const BenchOptions&);     \
-  template std::vector<ResultRow> run_iallreduce<EnvT>(                      \
-      EnvT&, const BenchOptions&);                                           \
-  template std::vector<ResultRow> run_put_latency<EnvT>(                     \
-      EnvT&, const BenchOptions&);                                           \
-  template std::vector<ResultRow> run_get_bw<EnvT>(EnvT&,                    \
-                                                   const BenchOptions&);     \
-  template std::vector<ResultRow> run_benchmark<EnvT>(BenchKind, EnvT&,      \
-                                                      const BenchOptions&);
-
-JHPC_OMBJ_INSTANTIATE(mv2j::Env)
-JHPC_OMBJ_INSTANTIATE(ompij::Env)
-#undef JHPC_OMBJ_INSTANTIATE
+template std::vector<ResultRow> run_benchmark(BenchKind, mv2j::Env&,
+                                              const BenchOptions&);
+template std::vector<ResultRow> run_benchmark(BenchKind, ompij::Env&,
+                                              const BenchOptions&);
+template std::vector<ResultRow> run_benchmark(BenchKind, NativeEnv&,
+                                              const BenchOptions&);
 
 }  // namespace jhpc::ombj

@@ -70,6 +70,30 @@ minimpi::CollectiveSuite suite_for(const std::string& coll,
   return fallback;
 }
 
+/// One bindings job of vendor P, its heap sized for the benchmark's
+/// arrays (live payload plus copying-GC headroom). The bindings keep their
+/// identity ("mv2j runs on MVAPICH2"); `--coll hier` swaps in the
+/// hierarchical engine underneath.
+template <bindings::VendorPolicy P>
+std::vector<ResultRow> run_bindings(const FigureSpec& fig,
+                                    const BenchOptions& options,
+                                    const obs::ObsConfig& obs,
+                                    const std::string& coll) {
+  bindings::RunOptions<P> opts;
+  opts.ranks = fig.ranks;
+  opts.fabric = fabric_for(fig);
+  opts.obs = obs;
+  opts.hier_collectives = coll == "hier";
+  opts.jvm.heap_bytes =
+      std::max<std::size_t>(32ull << 20, 8 * fig.options.max_size);
+  std::vector<ResultRow> rows;
+  bindings::run<P>(opts, [&](bindings::Env<P>& env) {
+    auto r = run_benchmark(fig.kind, env, options);
+    if (env.COMM_WORLD().getRank() == 0) rows = std::move(r);
+  });
+  return rows;
+}
+
 }  // namespace
 
 SeriesResult run_series(const FigureSpec& fig, const SeriesSpec& series) {
@@ -82,42 +106,16 @@ SeriesResult run_series(const FigureSpec& fig, const SeriesSpec& series) {
   const obs::ObsConfig obs = obs_for(fig, result.label);
   const std::string coll = coll_for(fig, series);
 
-  // Rows produced by rank 0 inside the job.
-  std::vector<ResultRow> rows;
   try {
     switch (series.library) {
-      case Library::kMv2j: {
-        mv2j::RunOptions opts;
-        opts.ranks = fig.ranks;
-        opts.fabric = fabric_for(fig);
-        opts.obs = obs;
-        // The bindings keep their identity ("mv2j runs on MVAPICH2");
-        // `--coll hier` swaps in the hierarchical engine underneath.
-        opts.hier_collectives = coll == "hier";
-        // Size the managed heap for the benchmark's arrays (live payload
-        // plus copying-GC headroom).
-        opts.jvm.heap_bytes = std::max<std::size_t>(
-            32ull << 20, 8 * fig.options.max_size);
-        mv2j::run(opts, [&](mv2j::Env& env) {
-          auto r = run_benchmark(fig.kind, env, options);
-          if (env.COMM_WORLD().getRank() == 0) rows = std::move(r);
-        });
+      case Library::kMv2j:
+      case Library::kOmpij:
+        result.rows = series.library == Library::kMv2j
+                          ? run_bindings<bindings::kMv2j>(fig, options, obs,
+                                                          coll)
+                          : run_bindings<bindings::kOmpij>(fig, options, obs,
+                                                           coll);
         break;
-      }
-      case Library::kOmpij: {
-        ompij::RunOptions opts;
-        opts.ranks = fig.ranks;
-        opts.fabric = fabric_for(fig);
-        opts.obs = obs;
-        opts.hier_collectives = coll == "hier";
-        opts.jvm.heap_bytes = std::max<std::size_t>(
-            32ull << 20, 8 * fig.options.max_size);
-        ompij::run(opts, [&](ompij::Env& env) {
-          auto r = run_benchmark(fig.kind, env, options);
-          if (env.COMM_WORLD().getRank() == 0) rows = std::move(r);
-        });
-        break;
-      }
       case Library::kNativeMv2:
       case Library::kNativeOmpi: {
         minimpi::UniverseConfig cfg;
@@ -128,14 +126,17 @@ SeriesResult run_series(const FigureSpec& fig, const SeriesSpec& series) {
                                          : minimpi::CollectiveSuite::kOmpiBasic);
         cfg.apply_suite_profile();
         cfg.obs = obs;
+        // The native library has one kind of payload, plain memory: both
+        // APIs run the same calls.
+        options.api = Api::kBuffer;
         minimpi::Universe::launch(cfg, [&](minimpi::Comm& world) {
-          auto r = run_benchmark_native(fig.kind, world, options);
-          if (world.rank() == 0) rows = std::move(r);
+          NativeEnv env(world);
+          auto r = run_benchmark(fig.kind, env, options);
+          if (world.rank() == 0) result.rows = std::move(r);
         });
         break;
       }
     }
-    result.rows = std::move(rows);
   } catch (const UnsupportedOperationError& e) {
     // E.g. Open MPI-J + arrays + non-blocking (the bandwidth benches):
     // the figure reports the series as absent, exactly like the paper.

@@ -2,6 +2,12 @@
 // the figure harness, and the virtual-time properties benchmarks rely on.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <functional>
+#include <map>
+#include <string>
+
 #include "jhpc/minimpi/universe.hpp"
 #include "jhpc/ombj/benchmarks.hpp"
 #include "jhpc/ombj/harness.hpp"
@@ -264,11 +270,24 @@ TEST(BenchTest, OverlapBenchmarksChargeNbcPvars) {
 }
 
 TEST(BenchTest, NativeSeriesRun) {
+  // The native environment runs every kind whose calls it forwards, and
+  // reports the rest (reduce_scatter, scan, vectored, one-sided) as
+  // unsupported.
   for (const Library lib : {Library::kNativeMv2, Library::kNativeOmpi}) {
-    const auto results = run_figure(
-        tiny_fig(BenchKind::kAllreduce, {{lib, Api::kBuffer, ""}}, 4, 2));
-    ASSERT_TRUE(results[0].supported);
-    EXPECT_FALSE(results[0].rows.empty());
+    for (const BenchKind kind :
+         {BenchKind::kAllreduce, BenchKind::kBiBandwidth, BenchKind::kMultiBw,
+          BenchKind::kMultiLat, BenchKind::kBarrier}) {
+      const auto results =
+          run_figure(tiny_fig(kind, {{lib, Api::kBuffer, ""}}, 4, 2));
+      ASSERT_TRUE(results[0].supported) << results[0].error;
+      EXPECT_FALSE(results[0].rows.empty()) << bench_name(kind);
+    }
+    for (const BenchKind kind : {BenchKind::kScan, BenchKind::kGatherv,
+                                 BenchKind::kPutLatency}) {
+      const auto results =
+          run_figure(tiny_fig(kind, {{lib, Api::kBuffer, ""}}, 2));
+      EXPECT_FALSE(results[0].supported) << bench_name(kind);
+    }
   }
 }
 
@@ -323,6 +342,223 @@ TEST(HarnessTest, LibraryAndApiNames) {
   EXPECT_STREQ(library_name(Library::kMv2j), "MVAPICH2-J");
   EXPECT_STREQ(library_name(Library::kOmpij), "Open MPI-J");
   EXPECT_STREQ(api_name(Api::kArrays), "arrays");
+}
+
+// --- The deterministic-clock golden table ------------------------------------
+// Every library x API x kind at 2 ranks on one node and at 3 and 4 ranks
+// one per node, over 1 B..16 KiB (both sides of the 8 KiB iteration
+// threshold, all eager), under the deterministic clock: every row's value
+// and overlap must equal tests/ombj_golden.txt exactly. The native suites
+// run as run_series runs them; their kinds are the ones the native series
+// supported when the table was written. Two ranks per node and rendezvous
+// sizes are left out: the order in which ranks reach a shared inter-node
+// link, and rendezvous windows, make those rows differ between runs.
+
+BenchOptions golden_options(Api api) {
+  BenchOptions opt;
+  opt.min_size = 1;
+  opt.max_size = 16 * 1024;
+  opt.warmup_small = 1;
+  opt.iters_small = 3;
+  opt.warmup_large = 1;
+  opt.iters_large = 2;
+  opt.window = 4;
+  opt.api = api;
+  return opt;
+}
+
+/// One det-clock job of `lib`: `ranks` ranks, `ppn` per node, `tweak`
+/// applied to the universe config, and `body(env)` run on every rank with
+/// the library's environment. A binding builds its Env on a Universe made
+/// from its own universe_config(); the native suites are configured as
+/// run_series configures them.
+template <typename Body>
+void det_clock_job(Library lib, int ranks, int ppn,
+                   const std::function<void(minimpi::UniverseConfig&)>& tweak,
+                   Body&& body) {
+  const auto bindings = [&]<typename EnvT, typename RunOptionsT>() {
+    RunOptionsT o;
+    o.ranks = ranks;
+    o.fabric.ranks_per_node = ppn;
+    o.obs = obs::ObsConfig{};
+    o.jvm.heap_bytes = 32u << 20;
+    minimpi::UniverseConfig cfg = o.universe_config();
+    cfg.deterministic_clock = true;
+    tweak(cfg);
+    minimpi::Universe::launch(cfg, [&](minimpi::Comm& world) {
+      EnvT env(world, o);
+      body(env);
+    });
+  };
+  switch (lib) {
+    case Library::kMv2j:
+      return bindings.template operator()<mv2j::Env, mv2j::RunOptions>();
+    case Library::kOmpij:
+      return bindings.template operator()<ompij::Env, ompij::RunOptions>();
+    case Library::kNativeMv2:
+    case Library::kNativeOmpi: {
+      minimpi::UniverseConfig cfg;
+      cfg.world_size = ranks;
+      cfg.fabric.ranks_per_node = ppn;
+      cfg.suite = lib == Library::kNativeMv2
+                      ? minimpi::CollectiveSuite::kMv2
+                      : minimpi::CollectiveSuite::kOmpiBasic;
+      cfg.apply_suite_profile();
+      cfg.obs = obs::ObsConfig{};
+      cfg.deterministic_clock = true;
+      tweak(cfg);
+      minimpi::Universe::launch(cfg, [&](minimpi::Comm& world) {
+        NativeEnv env(world);
+        body(env);
+      });
+    }
+  }
+}
+
+/// Rank 0's rows of one det-clock run of `kind`.
+std::vector<ResultRow> det_clock_rows(Library lib, int ranks, int ppn,
+                                      BenchKind kind,
+                                      const BenchOptions& opt) {
+  std::vector<ResultRow> rows;
+  det_clock_job(lib, ranks, ppn, [](minimpi::UniverseConfig&) {},
+                [&](auto& env) {
+                  auto r = run_benchmark(kind, env, opt);
+                  if (env.COMM_WORLD().getRank() == 0) rows = std::move(r);
+                });
+  return rows;
+}
+
+std::string golden_number(double v) {
+  char out[40];
+  std::snprintf(out, sizeof(out), "%.17g", v);
+  return out;
+}
+
+std::vector<std::string> golden_table() {
+  struct Geometry {
+    int ranks;
+    int ppn;
+  };
+  constexpr Geometry kGeometries[] = {{2, 0}, {3, 1}, {4, 1}};
+  constexpr BenchKind kNativeKinds[] = {
+      BenchKind::kLatency,   BenchKind::kBandwidth, BenchKind::kBcast,
+      BenchKind::kReduce,    BenchKind::kAllreduce, BenchKind::kGather,
+      BenchKind::kScatter,   BenchKind::kAllgather, BenchKind::kAlltoall,
+      BenchKind::kIbcast,    BenchKind::kIallreduce};
+  std::vector<std::string> out;
+  const auto emit = [&out](const std::string& key,
+                           const std::function<std::vector<ResultRow>()>& job) {
+    try {
+      for (const ResultRow& row : job()) {
+        std::string line = key + " size=" + std::to_string(row.size) +
+                           " value=" + golden_number(row.value);
+        if (row.overlap >= 0.0) line += " overlap=" + golden_number(row.overlap);
+        out.push_back(std::move(line));
+      }
+    } catch (const UnsupportedOperationError&) {
+      out.push_back(key + " unsupported");
+    }
+  };
+  for (const Geometry g : kGeometries) {
+    const std::string geo =
+        " n=" + std::to_string(g.ranks) + " ppn=" + std::to_string(g.ppn);
+    const auto add = [&](Library lib, const char* name, Api api,
+                         BenchKind kind) {
+      emit(std::string(name) + " " + api_name(api) + " " + bench_name(kind) +
+               geo,
+           [&] {
+             return det_clock_rows(lib, g.ranks, g.ppn, kind,
+                                   golden_options(api));
+           });
+    };
+    for (int k = 0; k <= static_cast<int>(BenchKind::kGetBandwidth); ++k) {
+      for (const Api api : {Api::kBuffer, Api::kArrays}) {
+        add(Library::kMv2j, "mv2j", api, static_cast<BenchKind>(k));
+        add(Library::kOmpij, "ompij", api, static_cast<BenchKind>(k));
+      }
+    }
+    for (const BenchKind kind : kNativeKinds) {
+      add(Library::kNativeMv2, "native-mv2", Api::kBuffer, kind);
+      add(Library::kNativeOmpi, "native-basic", Api::kBuffer, kind);
+    }
+  }
+  return out;
+}
+
+TEST(OmbGoldenTest, DetClockRowsMatchTable) {
+  const std::vector<std::string> got = golden_table();
+  {
+    std::ofstream actual("ombj_golden.actual.txt");
+    for (const std::string& row : got) actual << row << '\n';
+  }
+  // Rows are keyed by everything before " value=" (or the whole line).
+  auto key_of = [](const std::string& row) {
+    return row.substr(0, row.find(" value="));
+  };
+  std::map<std::string, std::string> want;
+  std::ifstream table(JHPC_OMBJ_GOLDEN_TABLE);
+  ASSERT_TRUE(table.good()) << "missing " << JHPC_OMBJ_GOLDEN_TABLE;
+  for (std::string line; std::getline(table, line);) {
+    if (!line.empty()) want[key_of(line)] = line;
+  }
+  int mismatches = 0;
+  for (const std::string& row : got) {
+    const auto it = want.find(key_of(row));
+    if (it != want.end() && it->second == row) {
+      want.erase(it);
+      continue;
+    }
+    if (++mismatches <= 20) {
+      ADD_FAILURE() << "golden row differs\n  want: "
+                    << (it == want.end() ? "(none)" : it->second)
+                    << "\n  got:  " << row;
+    }
+    if (it != want.end()) want.erase(it);
+  }
+  EXPECT_EQ(mismatches, 0) << "rows differing from " << JHPC_OMBJ_GOLDEN_TABLE
+                           << " (see ombj_golden.actual.txt)";
+  EXPECT_TRUE(want.empty()) << want.size() << " table rows were not produced";
+}
+
+
+TEST(BenchTest, ResilientSweepReportsEverySizeAfterAKill) {
+  // --kill-rank 3 mid-way through a 4-rank allreduce sweep, under the det
+  // clock so the kill lands at the same point on every run: native and
+  // both bindings, both APIs, recover by revoke + shrink, and rank 0
+  // still reports every size.
+  BenchOptions opt = tiny();
+  opt.max_size = 1024;
+  opt.resilient = true;
+  for (const Library lib :
+       {Library::kNativeMv2, Library::kMv2j, Library::kOmpij}) {
+    for (const Api api : {Api::kBuffer, Api::kArrays}) {
+      opt.api = api;
+      std::vector<ResultRow> rows;
+      std::int64_t kills = 0;
+      std::int64_t shrinks = 0;
+      det_clock_job(
+          lib, 4, 0,
+          [](minimpi::UniverseConfig& cfg) {
+            cfg.fabric.faults.parse_kills("3@20000");
+            cfg.obs.pvars = true;
+            cfg.obs.quiet = true;
+          },
+          [&](auto& env) {
+            auto r = run_benchmark(BenchKind::kAllreduce, env, opt);
+            if (env.COMM_WORLD().getRank() != 0) return;
+            rows = std::move(r);
+            obs::PvarRegistry& reg = *env.COMM_WORLD().native().pvars();
+            kills = reg.total(reg.find("fault.rank.kills"));
+            shrinks = reg.total(reg.find("fault.rank.shrinks"));
+          });
+      const std::string what =
+          std::string(library_name(lib)) + " " + api_name(api);
+      ASSERT_EQ(rows.size(), 9u) << what;  // 4 B .. 1 KiB
+      for (const ResultRow& row : rows) EXPECT_GT(row.value, 0.0) << what;
+      EXPECT_EQ(kills, 1) << what;
+      EXPECT_GE(shrinks, 1) << what;
+    }
+  }
 }
 
 }  // namespace
