@@ -11,10 +11,18 @@
 // coll.hier.single_copy_bytes so the zero-bounce intra-node path is
 // evidenced, not assumed (basic/mv2 runs must report 0).
 //
+// Two tripwires: the probe must count exactly 6·(ppn−1) single copies,
+// and at ppn >= 16 hier must beat mv2 at every size from 8 B to 4 KiB on
+// deterministic-clock Universes of each suite. The crossover is a model
+// statement, so it is checked where only modelled costs move the clock;
+// the real-clock table is the reported figure.
+//
 // Output: figure tables per geometry, a combined CSV (--csv) and a
 // schema-2 BENCH record (--json, default BENCH_hier_crossover.json;
 // --baseline embeds an earlier one) for the perf-trajectory artifact.
 // See docs/PERF.md.
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -24,6 +32,7 @@
 
 #include "bench_common.hpp"
 #include "fig_common.hpp"
+#include "jhpc/minimpi/universe.hpp"
 
 namespace {
 
@@ -64,33 +73,83 @@ FigureSpec crossover_fig(BenchKind kind, int ppn, bool quick) {
   return fig;
 }
 
-/// One small hier job at the sweep geometry, reading the single-copy
-/// pvars after a bcast + allreduce round: proof the intra-node fan-out
-/// moved payload with one copy per consumer instead of tree hops.
-void probe_single_copy(int ppn, GeoResult& geo,
-                       const std::string& pvar_dump) {
+/// A native Universe of `suite` at the sweep geometry.
+minimpi::UniverseConfig geometry(int ppn, minimpi::CollectiveSuite suite) {
   minimpi::UniverseConfig cfg;
   cfg.world_size = 2 * ppn;
   cfg.fabric.ranks_per_node = ppn;
-  cfg.suite = minimpi::CollectiveSuite::kHier;
+  cfg.suite = suite;
   cfg.apply_suite_profile();
+  cfg.obs = obs::ObsConfig{};
+  return cfg;
+}
+
+/// One small hier job at the sweep geometry, reading the single-copy
+/// pvars after a bcast + allreduce round: proof the intra-node fan-out
+/// moved payload with one copy per consumer instead of tree hops. The
+/// counts are read once every rank is through the job.
+void probe_single_copy(int ppn, GeoResult& geo,
+                       const std::string& pvar_dump) {
+  minimpi::UniverseConfig cfg =
+      geometry(ppn, minimpi::CollectiveSuite::kHier);
   // Arms the registry without the stderr table dump; the last
   // geometry's dump survives as a machine-readable artifact.
-  cfg.obs = obs::ObsConfig{};
   cfg.obs.pvars_json_path = pvar_dump;
-  minimpi::Universe::launch(cfg, [&](minimpi::Comm& world) {
+  minimpi::Universe u(cfg);
+  u.run([](minimpi::Comm& world) {
     std::vector<char> buf(8192, static_cast<char>(world.rank()));
     std::vector<int> acc(256, world.rank()), out(256);
     world.bcast(buf.data(), buf.size(), 0);
     world.allreduce(acc.data(), out.data(), acc.size(),
                     minimpi::BasicKind::kInt, minimpi::ReduceOp::kSum);
-    if (world.rank() == 0) {
-      obs::PvarRegistry& reg = *world.pvars();
-      geo.single_copies = reg.total(reg.find("coll.hier.single_copy"));
-      geo.single_copy_bytes =
-          reg.total(reg.find("coll.hier.single_copy_bytes"));
-    }
   });
+  geo.single_copies = u.pvar_total("coll.hier.single_copy");
+  geo.single_copy_bytes = u.pvar_total("coll.hier.single_copy_bytes");
+}
+
+/// Virtual ns until the last rank is through one `kind` of each size from
+/// 8 B to 4 KiB, on a deterministic-clock Universe of `suite` at the sweep
+/// geometry. Every run starts all clocks at zero and only modelled costs
+/// move them, so each value is exact.
+std::vector<std::int64_t> det_clock_ns(BenchKind kind, int ppn,
+                                       minimpi::CollectiveSuite suite) {
+  minimpi::UniverseConfig cfg = geometry(ppn, suite);
+  cfg.deterministic_clock = true;
+  minimpi::Universe u(cfg);
+  std::vector<std::int64_t> out;
+  for (std::size_t bytes = 8; bytes <= 4096; bytes *= 2) {
+    std::atomic<std::int64_t> last{0};
+    u.run([&](minimpi::Comm& world) {
+      std::vector<int> in(bytes / sizeof(int), world.rank()), sum(in.size());
+      if (kind == BenchKind::kBcast) {
+        world.bcast(in.data(), bytes, 0);
+      } else {
+        world.allreduce(in.data(), sum.data(), in.size(),
+                        minimpi::BasicKind::kInt, minimpi::ReduceOp::kSum);
+      }
+      const std::int64_t v = world.vtime_ns();
+      std::int64_t seen = last.load();
+      while (v > seen && !last.compare_exchange_weak(seen, v)) {
+      }
+    });
+    out.push_back(last.load());
+  }
+  return out;
+}
+
+/// The smallest per-size mv2/hier ratio of det_clock_ns.
+double det_clock_min_ratio(BenchKind kind, int ppn) {
+  const std::vector<std::int64_t> mv2 =
+      det_clock_ns(kind, ppn, minimpi::CollectiveSuite::kMv2);
+  const std::vector<std::int64_t> hier =
+      det_clock_ns(kind, ppn, minimpi::CollectiveSuite::kHier);
+  double min_ratio = 0.0;
+  for (std::size_t i = 0; i < mv2.size(); ++i) {
+    const double r =
+        static_cast<double>(mv2[i]) / static_cast<double>(hier[i]);
+    if (i == 0 || r < min_ratio) min_ratio = r;
+  }
+  return min_ratio;
 }
 
 void write_csv(const std::string& path, const std::vector<GeoResult>& geos) {
@@ -165,18 +224,25 @@ int main(int argc, char** argv) {
 
   // The model's headline: with enough ranks sharing a node, two
   // shared-flag hops beat log2(ppn) channel hops. Fail loudly if the
-  // crossover disappears so perf regressions surface in CI.
+  // crossover disappears on the deterministic clock, or the probe counts
+  // other than one single copy per consumer per phase.
   int rc = 0;
   for (const GeoResult& g : geos) {
-    if (g.ppn >= 16 && g.mv2_over_hier <= 1.0) {
-      std::cerr << "FAIL: hier did not beat mv2 at ppn=" << g.ppn << " for "
-                << bench_name(g.kind) << " (ratio "
-                << g.mv2_over_hier << ")\n";
+    const std::int64_t want = 6 * (g.ppn - 1);
+    if (g.single_copies != want) {
+      std::cerr << "FAIL: hier probe recorded " << g.single_copies
+                << " single-copy deliveries at ppn=" << g.ppn
+                << ", expected " << want << "\n";
       rc = 1;
     }
-    if (g.single_copies <= 0) {
-      std::cerr << "FAIL: hier probe recorded no single-copy deliveries at "
-                   "ppn=" << g.ppn << "\n";
+    if (g.ppn < 16) continue;
+    const double det = det_clock_min_ratio(g.kind, g.ppn);
+    std::cout << "det-clock mv2/hier min ratio, " << bench_name(g.kind)
+              << " ppn=" << g.ppn << ": " << det << "x\n";
+    if (det <= 1.0) {
+      std::cerr << "FAIL: hier did not beat mv2 at ppn=" << g.ppn << " for "
+                << bench_name(g.kind) << " on the deterministic clock "
+                << "(smallest ratio " << det << ")\n";
       rc = 1;
     }
   }

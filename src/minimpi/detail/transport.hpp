@@ -15,6 +15,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -623,6 +624,22 @@ struct UniverseImpl {
   /// Context ids: 0 is COMM_WORLD; dup/split/create allocate upward.
   std::atomic<int> next_context_id{1};
   std::atomic<bool> abort{false};
+
+  /// One thread per world rank, started by the first run() and parked
+  /// between runs (universe.cpp): a run publishes its per-rank work,
+  /// bumps `runs` and waits until `running` drops to zero. ~Universe sets
+  /// `stop` and joins the threads before any other state is destroyed.
+  struct RankThreads {
+    std::mutex mu;
+    std::condition_variable start;  ///< parked ranks wait here for a run
+    std::condition_variable done;   ///< run() waits here for the ranks
+    std::uint64_t runs = 0;
+    int running = 0;
+    bool stop = false;
+    const std::function<void(int)>* work = nullptr;
+    std::vector<std::thread> threads;
+  };
+  RankThreads rank_threads;
 
   /// Null when observability is disabled (the default): every
   /// instrumentation site in the transport guards on this one pointer.

@@ -86,10 +86,10 @@ struct UniverseConfig {
   UniverseConfig& apply_env();
 };
 
-/// One MPI job. Construct, then run() one or more SPMD functions; every
-/// run launches world_size rank threads, passes each its COMM_WORLD, and
-/// joins. If any rank throws, all collective/blocking calls of the other
-/// ranks abort promptly and the first exception is rethrown from run().
+/// One MPI job. Construct, then run() one or more SPMD functions; each run
+/// passes every rank thread its COMM_WORLD and waits for all of them. If
+/// any rank throws, all collective/blocking calls of the other ranks abort
+/// promptly and the first exception is rethrown from run().
 class Universe {
  public:
   explicit Universe(UniverseConfig config);
@@ -98,6 +98,12 @@ class Universe {
   Universe& operator=(const Universe&) = delete;
 
   /// Execute `rank_main` on every rank; blocks until all ranks return.
+  /// The first run starts world_size rank threads; they stay parked
+  /// between runs (a throwing, aborted or killed rank included) and are
+  /// joined by the destructor, so a reused Universe spawns nothing. Each
+  /// run starts every rank thread with the CPU mask of the thread calling
+  /// run(), as a freshly spawned thread would have: pinning done inside
+  /// one run does not leak into the next.
   void run(const std::function<void(Comm&)>& rank_main);
 
   /// Test hook: fail-stop `world_rank` immediately, from any thread

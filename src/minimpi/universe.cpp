@@ -1,8 +1,13 @@
 #include "jhpc/minimpi/universe.hpp"
 
+#include <sched.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <functional>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +18,43 @@
 #include "jhpc/support/table.hpp"
 
 namespace jhpc::minimpi {
+
+namespace {
+
+/// The calling thread's CPU mask, or nothing when a cpu_set_t cannot
+/// hold it.
+std::optional<cpu_set_t> thread_mask() {
+  cpu_set_t m;
+  CPU_ZERO(&m);
+  if (sched_getaffinity(0, sizeof(m), &m) != 0) return std::nullopt;
+  return m;
+}
+
+/// A rank thread's life: park until a run starts, do this rank's share of
+/// it, report done, park again; return once the Universe stops the pool.
+void rank_thread_main(detail::UniverseImpl::RankThreads& rt, int rank,
+                      std::uint64_t seen) {
+  for (;;) {
+    const std::function<void(int)>* work = nullptr;
+    {
+      std::unique_lock<std::mutex> lk(rt.mu);
+      rt.start.wait(lk, [&] { return rt.stop || rt.runs != seen; });
+      if (rt.stop) return;
+      seen = rt.runs;
+      work = rt.work;
+    }
+    (*work)(rank);
+    bool last = false;
+    {
+      const std::lock_guard<std::mutex> lk(rt.mu);
+      last = --rt.running == 0;
+    }
+    // ~Universe joins this thread before `done` goes away.
+    if (last) rt.done.notify_one();
+  }
+}
+
+}  // namespace
 
 UniverseConfig& UniverseConfig::apply_env() {
   fabric = netsim::FabricConfig::from_env();
@@ -40,7 +82,15 @@ UniverseConfig& UniverseConfig::apply_env() {
 Universe::Universe(UniverseConfig config)
     : impl_(std::make_unique<detail::UniverseImpl>(config)) {}
 
-Universe::~Universe() = default;
+Universe::~Universe() {
+  detail::UniverseImpl::RankThreads& rt = impl_->rank_threads;
+  {
+    const std::lock_guard<std::mutex> lk(rt.mu);
+    rt.stop = true;
+  }
+  rt.start.notify_all();
+  for (std::thread& t : rt.threads) t.join();
+}
 
 const UniverseConfig& Universe::config() const { return impl_->config; }
 
@@ -108,38 +158,62 @@ void Universe::run(const std::function<void(Comm&)>& rank_main) {
     return Group(std::move(ranks));
   }();
 
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(n));
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
+  const std::optional<cpu_set_t> caller_mask = thread_mask();
 
-  for (int r = 0; r < n; ++r) {
-    threads.emplace_back([this, r, &world_group, &rank_main, &errors] {
-      // Fresh virtual clock for this run, anchored to this thread's CPU.
-      detail::RankClock& clock = impl_->clocks[static_cast<std::size_t>(r)];
-      clock.cpu_passthrough = !impl_->config.deterministic_clock;
-      clock.vclock = 0;
-      clock.last_cpu = thread_cpu_ns();
-      Comm world(impl_.get(), world_group, r, /*context_id=*/0);
-      try {
-        rank_main(world);
-      } catch (const detail::AbortError&) {
-        // Secondary failure: another rank already recorded the cause.
-      } catch (const detail::RankKilledError&) {
-        // Planned fail-stop: part of the fault scenario, not an error.
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        impl_->abort_all();
+  const std::function<void(int)> work = [&](int r) {
+    // Start from the caller's CPU mask, as a freshly spawned thread
+    // would: one run's pinning must not leak into the next.
+    if (caller_mask) {
+      const std::optional<cpu_set_t> mine = thread_mask();
+      if (!mine || !CPU_EQUAL(&*mine, &*caller_mask)) {
+        sched_setaffinity(0, sizeof(cpu_set_t), &*caller_mask);
       }
-    });
-  }
-  for (auto& t : threads) t.join();
+    }
+    // Fresh virtual clock for this run, anchored to this thread's CPU.
+    detail::RankClock& clock = impl_->clocks[static_cast<std::size_t>(r)];
+    clock.cpu_passthrough = !impl_->config.deterministic_clock;
+    clock.vclock = 0;
+    clock.last_cpu = thread_cpu_ns();
+    Comm world(impl_.get(), world_group, r, /*context_id=*/0);
+    try {
+      rank_main(world);
+    } catch (const detail::AbortError&) {
+      // Secondary failure: another rank already recorded the cause.
+    } catch (const detail::RankKilledError&) {
+      // Planned fail-stop: part of the fault scenario, not an error.
+    } catch (...) {
+      errors[static_cast<std::size_t>(r)] = std::current_exception();
+      impl_->abort_all();
+    }
+  };
 
-  // Quiesce after the join too: drain parked requests and return buffered
-  // eager slabs to the recycler so teardown after a failed job is clean
-  // without relying on the abort flag.
+  // Hand the work to the parked rank threads (the first run starts them)
+  // and wait until every rank is through it.
+  detail::UniverseImpl::RankThreads& rt = impl_->rank_threads;
+  while (rt.threads.size() < static_cast<std::size_t>(n)) {
+    rt.threads.emplace_back(rank_thread_main, std::ref(rt),
+                            static_cast<int>(rt.threads.size()), rt.runs);
+  }
+  {
+    const std::lock_guard<std::mutex> lk(rt.mu);
+    rt.work = &work;
+    rt.running = n;
+    ++rt.runs;
+  }
+  rt.start.notify_all();
+  {
+    std::unique_lock<std::mutex> lk(rt.mu);
+    rt.done.wait(lk, [&] { return rt.running == 0; });
+    rt.work = nullptr;
+  }
+
+  // Quiesce after the ranks too: drain parked requests and return
+  // buffered eager slabs to the recycler so teardown after a failed job
+  // is clean without relying on the abort flag.
   impl_->quiesce();
 
-  // Finalize-time flush, after the join so the single-writer rings are
+  // Finalize-time flush, after the ranks so the single-writer rings are
   // quiescent. Runs even for failed jobs: a trace of an aborted run is
   // exactly what one debugs with.
   if (impl_->obs != nullptr) {

@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +26,16 @@ namespace jhpc::jhpcd {
 namespace {
 
 using minimpi::Comm;
+
+/// Thread ids of this process, from /proc/self/task.
+std::set<std::string> thread_ids() {
+  std::set<std::string> ids;
+  for (const auto& e :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ids.insert(e.path().filename().string());
+  }
+  return ids;
+}
 
 /// A world-2 pingpong of `iters` small messages.
 JobSpec pingpong_job(const std::string& name, int iters = 4) {
@@ -353,10 +366,13 @@ TEST(JhpcdTest, BoundedMemorySteadyStateChurn) {
   cfg.pool_capacity = 6;
   cfg.depot_max_bytes = 1u << 20;
   JobManager mgr(cfg);
+  const std::size_t idle_threads = thread_ids().size();
 
   constexpr int kJobs = 200;
   std::vector<JobHandle> handles;
   handles.reserve(kJobs);
+  std::set<std::string> first_drain_threads;
+  std::uint64_t created_at_first_drain = 0;
   for (int i = 0; i < kJobs; ++i) {
     JobSpec spec;
     spec.name = "churn" + std::to_string(i);
@@ -373,12 +389,28 @@ TEST(JhpcdTest, BoundedMemorySteadyStateChurn) {
     };
     handles.push_back(mgr.submit(spec));
     if ((i & 31) == 31) mgr.drain();
+    if (i == 31) {
+      first_drain_threads = thread_ids();
+      created_at_first_drain = mgr.stats().universes_created;
+    }
   }
   for (auto& h : handles) {
     EXPECT_EQ(h.await().state, JobState::kCompleted);
   }
   const ServiceStats s = mgr.stats();
   EXPECT_EQ(s.completed, static_cast<std::uint64_t>(kJobs));
+  // Steady-state churn spawns nothing: each pooled Universe keeps its two
+  // rank threads parked between jobs, and the threads seen at the first
+  // drain are the same ones (ids) after the last job. Only a Universe
+  // built after the first drain adds threads, its own two.
+  EXPECT_EQ(first_drain_threads.size(),
+            idle_threads + 2 * created_at_first_drain);
+  const std::set<std::string> last_threads = thread_ids();
+  EXPECT_TRUE(std::includes(last_threads.begin(), last_threads.end(),
+                            first_drain_threads.begin(),
+                            first_drain_threads.end()))
+      << "a rank thread was replaced during steady-state churn";
+  EXPECT_EQ(last_threads.size(), idle_threads + 2 * s.universes_created);
   // Steady state reuses Universes instead of building one per job...
   EXPECT_GT(s.universes_reused, s.universes_created);
   EXPECT_LE(s.universes_created,

@@ -53,21 +53,29 @@ std::int64_t total(obs::PvarRegistry& reg, const char* name) {
 /// The reliable protocol's books must balance: every lost data packet or
 /// lost ack triggers exactly one retransmit, unless the budget ran out
 /// (timeout); a duplicate can only exist where an ack was lost.
-void expect_fault_accounting(obs::PvarRegistry& reg) {
-  const std::int64_t data_drops = total(reg, "fault.data_drops");
-  const std::int64_t ack_drops = total(reg, "fault.ack_drops");
-  const std::int64_t retransmits = total(reg, "fault.retransmits");
-  const std::int64_t timeouts = total(reg, "fault.timeouts");
-  const std::int64_t dups = total(reg, "fault.dups");
+/// `total(name)` sums pvar `name` over the ranks.
+template <typename Total>
+void expect_fault_accounting(Total&& total) {
+  const std::int64_t data_drops = total("fault.data_drops");
+  const std::int64_t ack_drops = total("fault.ack_drops");
+  const std::int64_t retransmits = total("fault.retransmits");
+  const std::int64_t timeouts = total("fault.timeouts");
+  const std::int64_t dups = total("fault.dups");
   EXPECT_EQ(retransmits + timeouts, data_drops + ack_drops);
   EXPECT_LE(dups, ack_drops);
   EXPECT_GE(data_drops, 0);
   EXPECT_GE(ack_drops, 0);
 }
 
-/// Every rank but 0 reports in; rank 0 collecting all tokens is the
-/// happens-before edge that makes a subsequent pvar read race-free (all
-/// other ranks' transport calls have returned).
+void expect_fault_accounting(obs::PvarRegistry& reg) {
+  expect_fault_accounting(
+      [&reg](const char* name) { return total(reg, name); });
+}
+
+/// Every rank but 0 reports in; rank 0 collecting all tokens orders every
+/// earlier transport call of the other ranks before its pvar read. Their
+/// later calls are not ordered: a peer that goes on to a barrier counts
+/// that barrier's drops while rank 0 reads (read after run() instead).
 void drain_to_rank0(Comm& world, int tag = kMaxUserTag) {
   char token = 1;
   if (world.rank() == 0) {
@@ -824,8 +832,8 @@ TEST(FaultRmaTest, PutAccumulateStreamSurvivesDropsWithExactAccounting) {
   UniverseConfig c = chaos_cfg(4, 1, 0.06, 400, 24680, "rma_chaos");
   constexpr int kEpochs = 12;
   constexpr std::size_t kSlice = 128;
-  bool accounting_done = false;
-  Universe::launch(c, [&](Comm& world) {
+  Universe u(c);
+  u.run([&](Comm& world) {
     const int n = world.size();
     const int me = world.rank();
     const std::size_t acc_off = static_cast<std::size_t>(n) * kSlice;
@@ -863,23 +871,17 @@ TEST(FaultRmaTest, PutAccumulateStreamSurvivesDropsWithExactAccounting) {
       // rank is still reading its own window.
       world.barrier();
     }
-    drain_to_rank0(world);
-    if (me == 0) {
-      obs::PvarRegistry& reg = *world.pvars();
-      expect_fault_accounting(reg);
-      EXPECT_GT(total(reg, "fault.data_drops") +
-                    total(reg, "fault.ack_drops"),
-                0)
-          << "a 6% plan over this much RMA traffic should drop something";
-      EXPECT_EQ(total(reg, "fault.timeouts"), 0);
-      EXPECT_EQ(total(reg, "rma.put_bytes"),
-                static_cast<std::int64_t>(kEpochs) * 4 * 3 * kSlice);
-      accounting_done = true;
-    }
-    world.barrier();
     win.free();
   });
-  EXPECT_TRUE(accounting_done);
+  // The books are read once every rank is through the job: a peer's last
+  // transport call may still be counting after its final message landed.
+  const auto sum = [&u](const char* name) { return u.pvar_total(name); };
+  expect_fault_accounting(sum);
+  EXPECT_GT(sum("fault.data_drops") + sum("fault.ack_drops"), 0)
+      << "a 6% plan over this much RMA traffic should drop something";
+  EXPECT_EQ(sum("fault.timeouts"), 0);
+  EXPECT_EQ(sum("rma.put_bytes"),
+            static_cast<std::int64_t>(kEpochs) * 4 * 3 * kSlice);
 }
 
 TEST(FaultRmaTest, LockUnlockUnderJitterKeepsRmwAtomic) {

@@ -2,6 +2,8 @@
 // the figure harness, and the virtual-time properties benchmarks rely on.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -70,15 +72,18 @@ TEST(VirtualTimeTest, VtimeAdvancesWithCpuWork) {
   });
 }
 
-TEST(VirtualTimeTest, InterNodeLatencyDominatedByModel) {
-  // A 2-rank ping-pong across a high-latency virtual link must measure
-  // roughly 2x the configured one-way latency per round trip, regardless
-  // of host scheduling.
+/// Per-rank virtual ns per round trip of a 10-round 1-byte ping-pong
+/// across a 50 us inter-node link, timed from the barrier that starts it.
+/// Rank 0's window is exactly 10 round trips; rank 1's ends at its last
+/// send, half a round trip (one link latency) short of that.
+std::array<std::int64_t, 2> pingpong_ns_per_round(bool det_clock) {
   minimpi::UniverseConfig cfg;
   cfg.world_size = 2;
   cfg.fabric.ranks_per_node = 1;
   cfg.fabric.inter_latency_ns = 50'000;  // 50 us, dwarfs CPU costs
-  minimpi::Universe::launch(cfg, [](minimpi::Comm& world) {
+  cfg.deterministic_clock = det_clock;
+  std::array<std::int64_t, 2> per_round{};
+  minimpi::Universe::launch(cfg, [&](minimpi::Comm& world) {
     char byte = 0;
     // Warm up and synchronise.
     world.barrier();
@@ -93,10 +98,27 @@ TEST(VirtualTimeTest, InterNodeLatencyDominatedByModel) {
         world.send(&byte, 1, 0, 0);
       }
     }
-    const auto per_round = (world.vtime_ns() - t0) / kIters;
-    EXPECT_GT(per_round, 95'000);   // ~2 x 50 us
-    EXPECT_LT(per_round, 140'000);  // plus bounded CPU overhead
+    per_round[static_cast<std::size_t>(world.rank())] =
+        (world.vtime_ns() - t0) / kIters;
   });
+  return per_round;
+}
+
+TEST(VirtualTimeTest, InterNodeLatencyDominatedByModel) {
+  // A ping-pong across a high-latency virtual link must measure roughly
+  // 2x the configured one-way latency per round trip on the rank whose
+  // window holds whole round trips, regardless of host scheduling.
+  const std::int64_t per_round = pingpong_ns_per_round(false)[0];
+  EXPECT_GT(per_round, 95'000);   // ~2 x 50 us
+  EXPECT_LT(per_round, 140'000);  // plus bounded CPU overhead
+}
+
+TEST(VirtualTimeTest, InterNodeLatencyIsExactUnderTheDetClock) {
+  // Only the link moves the deterministic clock: rank 0 reads exactly
+  // two latencies per round, rank 1 half a round trip less per 10.
+  const std::array<std::int64_t, 2> per_round = pingpong_ns_per_round(true);
+  EXPECT_EQ(per_round[0], 100'000);
+  EXPECT_EQ(per_round[1], 95'000);
 }
 
 TEST(VirtualTimeTest, BandwidthSaturatesAtModelledRate) {
