@@ -13,21 +13,21 @@ int main(int argc, char** argv) {
        {BenchKind::kBcast, BenchKind::kReduce, BenchKind::kAllreduce,
         BenchKind::kGather, BenchKind::kScatter, BenchKind::kAllgather,
         BenchKind::kAlltoall}) {
-    FigureSpec fig;
-    fig.id = std::string("abl_coll_") + bench_name(kind);
-    fig.title = std::string("native suite ablation: osu_") +
-                bench_name(kind) + ", 16 ranks x 4 nodes";
-    fig.kind = kind;
-    fig.ranks = 16;
-    fig.ppn = 4;
-    fig.options.min_size = 4;
-    fig.options.max_size = 256 * 1024;  // alltoall allocates size*ranks
-    fig.options.iters_small = 60;
-    fig.options.iters_large = 10;
-    fig.series = {{Library::kNativeMv2, Api::kBuffer, "mv2 suite"},
-                  {Library::kNativeOmpi, Api::kBuffer, "basic suite"}};
-    fig.ratios = {{"basic suite", "mv2 suite"}};
-    rc |= figure_main(std::move(fig), argc, argv);
+    rc |= figure_main(argc, argv, [kind](FigureSpec& fig) {
+      fig.id = std::string("abl_coll_") + bench_name(kind);
+      fig.title = std::string("native suite ablation: osu_") +
+                  bench_name(kind) + ", 16 ranks x 4 nodes";
+      fig.kind = kind;
+      fig.ranks = 16;
+      fig.ppn = 4;
+      fig.options.min_size = 4;
+      fig.options.max_size = 256 * 1024;  // alltoall allocates size*ranks
+      fig.options.iters_small = 60;
+      fig.options.iters_large = 10;
+      fig.series = {{Library::kNativeMv2, Api::kBuffer, "mv2 suite"},
+                    {Library::kNativeOmpi, Api::kBuffer, "basic suite"}};
+      fig.ratios = {{"basic suite", "mv2 suite"}};
+    });
     std::cout << "\n";
   }
   return rc;

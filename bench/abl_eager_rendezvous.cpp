@@ -10,7 +10,7 @@
 #include "jhpc/support/sizes.hpp"
 #include "jhpc/support/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace jhpc;
   using namespace jhpc::ombj;
   bool quick = false;
@@ -57,4 +57,7 @@ int main(int argc, char** argv) {
             << "note: sizes above the eager limit rendezvous (extra "
                "handshake, sender blocks until the receive is posted).\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << argv[0] << ": " << e.what() << "\n";
+  return 1;
 }

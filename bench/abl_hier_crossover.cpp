@@ -181,7 +181,7 @@ void write_csv(const std::string& path, const std::vector<GeoResult>& geos) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const bench::Args args = bench::parse_args(
       argc, argv, {.json = "BENCH_hier_crossover.json", .csv = true});
   const bool quick = args.quick;
@@ -247,4 +247,7 @@ int main(int argc, char** argv) {
     }
   }
   return rc;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+  return 1;
 }

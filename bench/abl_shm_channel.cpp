@@ -9,19 +9,19 @@ int main(int argc, char** argv) {
   using namespace jhpc::ombj;
   int rc = 0;
   for (const BenchKind kind : {BenchKind::kLatency, BenchKind::kBandwidth}) {
-    FigureSpec fig;
-    fig.id = std::string("abl_shm_") + bench_name(kind);
-    fig.title = std::string("shared-memory channel ablation: osu_") +
-                bench_name(kind) + ", 2 ranks, one node, native only";
-    fig.kind = kind;
-    fig.ranks = 2;
-    fig.ppn = 0;
-    fig.options.min_size = 1;
-    fig.options.max_size = 64 * 1024;
-    fig.series = {{Library::kNativeMv2, Api::kBuffer, "mv2 shm channel"},
-                  {Library::kNativeOmpi, Api::kBuffer, "basic shm channel"}};
-    fig.ratios = {{"basic shm channel", "mv2 shm channel"}};
-    rc |= figure_main(std::move(fig), argc, argv);
+    rc |= figure_main(argc, argv, [kind](FigureSpec& fig) {
+      fig.id = std::string("abl_shm_") + bench_name(kind);
+      fig.title = std::string("shared-memory channel ablation: osu_") +
+                  bench_name(kind) + ", 2 ranks, one node, native only";
+      fig.kind = kind;
+      fig.ranks = 2;
+      fig.ppn = 0;
+      fig.options.min_size = 1;
+      fig.options.max_size = 64 * 1024;
+      fig.series = {{Library::kNativeMv2, Api::kBuffer, "mv2 shm channel"},
+                    {Library::kNativeOmpi, Api::kBuffer, "basic shm channel"}};
+      fig.ratios = {{"basic shm channel", "mv2 shm channel"}};
+    });
   }
   return rc;
 }

@@ -266,10 +266,10 @@ inline std::vector<std::size_t> sizes_x8(std::size_t lo, std::size_t hi) {
 
 /// The micro-ablations' main: parses --quick/--csv, lets
 /// `fill(args, table)` add the rows, prints the table under `title` and
-/// mirrors it to --csv.
+/// mirrors it to --csv; 1, with the reason, when `fill` throws.
 template <typename FillFn>
 int ablation_main(int argc, char** argv, const std::string& title,
-                  std::vector<std::string> headers, FillFn&& fill) {
+                  std::vector<std::string> headers, FillFn&& fill) try {
   const Args args = parse_args(argc, argv, {.csv = true});
   Table table(std::move(headers));
   fill(args, table);
@@ -279,6 +279,9 @@ int ablation_main(int argc, char** argv, const std::string& title,
     std::cout << "csv written to " << args.csv << "\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+  return 1;
 }
 
 }  // namespace jhpc::bench

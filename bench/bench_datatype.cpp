@@ -117,7 +117,7 @@ void manual(Comm& world, const Shape& s, auto&& run) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Args args = parse_args(
       argc, argv, {.json = "BENCH_datatype.json", .floor = "--min-speedup"});
   const bool quick = args.quick;
@@ -198,4 +198,7 @@ int main(int argc, char** argv) {
                      "x")
              ? 0
              : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+  return 1;
 }

@@ -88,7 +88,7 @@ void stream(Comm& world, std::size_t size, auto&& run) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Args args = parse_args(
       argc, argv, {.json = "BENCH_hotpath.json", .floor = "--min-msgs-per-sec"});
   const bool quick = args.quick;
@@ -151,4 +151,7 @@ int main(int argc, char** argv) {
                      " msgs/s")
              ? 0
              : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+  return 1;
 }

@@ -84,7 +84,7 @@ void twosided(Comm& world, std::size_t size, auto&& run) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Args args = parse_args(
       argc, argv, {.json = "BENCH_rma.json", .floor = "--min-speedup"});
   const bool quick = args.quick;
@@ -154,4 +154,7 @@ int main(int argc, char** argv) {
                      "x")
              ? 0
              : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+  return 1;
 }

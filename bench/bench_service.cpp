@@ -106,7 +106,7 @@ double run_short_sample(JobManager& mgr, int jobs, int& failed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Args args = parse_args(
       argc, argv,
       {.json = "BENCH_service.json", .floor = "--min-jobs-per-min"});
@@ -209,4 +209,7 @@ int main(int argc, char** argv) {
                    " jobs/min"))
     rc = 1;
   return rc;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+  return 1;
 }

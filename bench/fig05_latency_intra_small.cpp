@@ -5,14 +5,14 @@
 
 int main(int argc, char** argv) {
   using namespace jhpc::ombj;
-  FigureSpec fig;
-  fig.id = "fig05";
-  fig.title = "Intra-node latency, small messages (paper Fig. 5)";
-  fig.kind = BenchKind::kLatency;
-  fig.ranks = 2;
-  fig.ppn = 0;  // same virtual node
-  small_sizes(fig);
-  fig.series = four_series();
-  fig.ratios = four_ratios();
-  return figure_main(std::move(fig), argc, argv);
+  return figure_main(argc, argv, [](FigureSpec& fig) {
+    fig.id = "fig05";
+    fig.title = "Intra-node latency, small messages (paper Fig. 5)";
+    fig.kind = BenchKind::kLatency;
+    fig.ranks = 2;
+    fig.ppn = 0;  // same virtual node
+    small_sizes(fig);
+    fig.series = four_series();
+    fig.ratios = four_ratios();
+  });
 }

@@ -4,14 +4,14 @@
 
 int main(int argc, char** argv) {
   using namespace jhpc::ombj;
-  FigureSpec fig;
-  fig.id = "fig06";
-  fig.title = "Intra-node latency, large messages (paper Fig. 6)";
-  fig.kind = BenchKind::kLatency;
-  fig.ranks = 2;
-  fig.ppn = 0;
-  large_sizes(fig);
-  fig.series = four_series();
-  fig.ratios = four_ratios();
-  return figure_main(std::move(fig), argc, argv);
+  return figure_main(argc, argv, [](FigureSpec& fig) {
+    fig.id = "fig06";
+    fig.title = "Intra-node latency, large messages (paper Fig. 6)";
+    fig.kind = BenchKind::kLatency;
+    fig.ranks = 2;
+    fig.ppn = 0;
+    large_sizes(fig);
+    fig.series = four_series();
+    fig.ratios = four_ratios();
+  });
 }

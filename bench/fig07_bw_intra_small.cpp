@@ -5,14 +5,14 @@
 
 int main(int argc, char** argv) {
   using namespace jhpc::ombj;
-  FigureSpec fig;
-  fig.id = "fig07";
-  fig.title = "Intra-node bandwidth, small messages (paper Fig. 7)";
-  fig.kind = BenchKind::kBandwidth;
-  fig.ranks = 2;
-  fig.ppn = 0;
-  small_sizes(fig);
-  fig.series = four_series();
-  fig.ratios = four_ratios();
-  return figure_main(std::move(fig), argc, argv);
+  return figure_main(argc, argv, [](FigureSpec& fig) {
+    fig.id = "fig07";
+    fig.title = "Intra-node bandwidth, small messages (paper Fig. 7)";
+    fig.kind = BenchKind::kBandwidth;
+    fig.ranks = 2;
+    fig.ppn = 0;
+    small_sizes(fig);
+    fig.series = four_series();
+    fig.ratios = four_ratios();
+  });
 }

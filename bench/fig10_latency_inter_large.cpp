@@ -4,14 +4,14 @@
 
 int main(int argc, char** argv) {
   using namespace jhpc::ombj;
-  FigureSpec fig;
-  fig.id = "fig10";
-  fig.title = "Inter-node latency, large messages (paper Fig. 10)";
-  fig.kind = BenchKind::kLatency;
-  fig.ranks = 2;
-  fig.ppn = 1;
-  large_sizes(fig);
-  fig.series = four_series();
-  fig.ratios = four_ratios();
-  return figure_main(std::move(fig), argc, argv);
+  return figure_main(argc, argv, [](FigureSpec& fig) {
+    fig.id = "fig10";
+    fig.title = "Inter-node latency, large messages (paper Fig. 10)";
+    fig.kind = BenchKind::kLatency;
+    fig.ranks = 2;
+    fig.ppn = 1;
+    large_sizes(fig);
+    fig.series = four_series();
+    fig.ratios = four_ratios();
+  });
 }

@@ -4,14 +4,14 @@
 
 int main(int argc, char** argv) {
   using namespace jhpc::ombj;
-  FigureSpec fig;
-  fig.id = "fig12";
-  fig.title = "Inter-node bandwidth, small messages (paper Fig. 12)";
-  fig.kind = BenchKind::kBandwidth;
-  fig.ranks = 2;
-  fig.ppn = 1;
-  small_sizes(fig);
-  fig.series = four_series();
-  fig.ratios = four_ratios();
-  return figure_main(std::move(fig), argc, argv);
+  return figure_main(argc, argv, [](FigureSpec& fig) {
+    fig.id = "fig12";
+    fig.title = "Inter-node bandwidth, small messages (paper Fig. 12)";
+    fig.kind = BenchKind::kBandwidth;
+    fig.ranks = 2;
+    fig.ppn = 1;
+    small_sizes(fig);
+    fig.series = four_series();
+    fig.ratios = four_ratios();
+  });
 }

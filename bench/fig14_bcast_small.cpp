@@ -5,13 +5,13 @@
 
 int main(int argc, char** argv) {
   using namespace jhpc::ombj;
-  FigureSpec fig;
-  fig.id = "fig14";
-  fig.title = "Broadcast latency, small messages, 64 ranks (paper Fig. 14)";
-  fig.kind = BenchKind::kBcast;
-  paper_collective_geometry(fig);
-  small_sizes(fig);
-  fig.series = four_series();
-  fig.ratios = four_ratios();
-  return figure_main(std::move(fig), argc, argv);
+  return figure_main(argc, argv, [](FigureSpec& fig) {
+    fig.id = "fig14";
+    fig.title = "Broadcast latency, small messages, 64 ranks (paper Fig. 14)";
+    fig.kind = BenchKind::kBcast;
+    paper_collective_geometry(fig);
+    small_sizes(fig);
+    fig.series = four_series();
+    fig.ratios = four_ratios();
+  });
 }

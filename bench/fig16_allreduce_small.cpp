@@ -5,14 +5,14 @@
 
 int main(int argc, char** argv) {
   using namespace jhpc::ombj;
-  FigureSpec fig;
-  fig.id = "fig16";
-  fig.title = "Allreduce latency, small messages, 64 ranks (paper Fig. 16)";
-  fig.kind = BenchKind::kAllreduce;
-  paper_collective_geometry(fig);
-  fig.options.min_size = 4;
-  fig.options.max_size = 1024;
-  fig.series = four_series();
-  fig.ratios = four_ratios();
-  return figure_main(std::move(fig), argc, argv);
+  return figure_main(argc, argv, [](FigureSpec& fig) {
+    fig.id = "fig16";
+    fig.title = "Allreduce latency, small messages, 64 ranks (paper Fig. 16)";
+    fig.kind = BenchKind::kAllreduce;
+    paper_collective_geometry(fig);
+    fig.options.min_size = 4;
+    fig.options.max_size = 1024;
+    fig.series = four_series();
+    fig.ratios = four_ratios();
+  });
 }

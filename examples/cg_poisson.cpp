@@ -32,7 +32,7 @@ struct LocalVectors {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   mv2j::RunOptions options;
   options.ranks = argc > 1 ? std::atoi(argv[1]) : 4;
   const int local_n = argc > 2 ? std::atoi(argv[2]) : 2000;
@@ -144,4 +144,7 @@ int main(int argc, char** argv) {
     }
   });
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << argv[0] << ": " << e.what() << "\n";
+  return 1;
 }

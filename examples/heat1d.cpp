@@ -18,7 +18,7 @@
 
 using namespace jhpc;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   mv2j::RunOptions options;
   options.ranks = argc > 1 ? std::atoi(argv[1]) : 4;
   const int cells = argc > 2 ? std::atoi(argv[2]) : 4096;
@@ -107,4 +107,7 @@ int main(int argc, char** argv) {
     }
   });
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << argv[0] << ": " << e.what() << "\n";
+  return 1;
 }

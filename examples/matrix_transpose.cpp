@@ -16,7 +16,7 @@
 
 using namespace jhpc;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   mv2j::RunOptions options;
   options.ranks = argc > 1 ? std::atoi(argv[1]) : 4;
   const int n = argc > 2 ? std::atoi(argv[2]) : 64;  // block edge
@@ -94,4 +94,7 @@ int main(int argc, char** argv) {
     }
   });
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << argv[0] << ": " << e.what() << "\n";
+  return 1;
 }

@@ -12,7 +12,7 @@
 
 using namespace jhpc;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   mv2j::RunOptions options;
   options.ranks = argc > 1 ? std::atoi(argv[1]) : 8;
   const long long samples_per_rank =
@@ -49,4 +49,7 @@ int main(int argc, char** argv) {
     }
   });
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << argv[0] << ": " << e.what() << "\n";
+  return 1;
 }

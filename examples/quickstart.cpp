@@ -14,10 +14,11 @@
 
 using namespace jhpc;
 
-int main() {
+int main() try {
+  // Default-constructed options take the JHPC_* knobs (JHPC_PPN and the
+  // rest of README's Configuration table); code and flags override them.
   mv2j::RunOptions options;
   options.ranks = 4;
-  options.fabric = netsim::FabricConfig::from_env();
 
   std::mutex print_mu;  // keep the hello lines intact
   mv2j::run(options, [&](mv2j::Env& env) {
@@ -67,4 +68,7 @@ int main() {
   });
   std::cout << "quickstart finished OK\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "quickstart: " << e.what() << "\n";
+  return 1;
 }

@@ -47,7 +47,7 @@ int zipf_pick(std::mt19937_64& rng) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   mv2j::RunOptions options;
   options.ranks = argc > 1 ? std::atoi(argv[1]) : 6;
   const long long words_per_rank =
@@ -161,4 +161,7 @@ int main(int argc, char** argv) {
     }
   });
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << argv[0] << ": " << e.what() << "\n";
+  return 1;
 }

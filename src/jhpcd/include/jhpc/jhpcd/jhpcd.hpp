@@ -176,8 +176,10 @@ class JobHandle {
 };
 
 /// Service-wide configuration. Every knob has a JHPC_SVC_* environment
-/// override (see from_env and docs/SERVICE.md).
+/// override, which the default constructor reads (docs/SERVICE.md).
 struct ServiceConfig {
+  ServiceConfig();
+
   /// Concurrently running jobs (worker threads). Env: JHPC_SVC_WORKERS.
   int workers = 4;
   /// Bounded admission queue capacity, both classes combined. Env:
@@ -203,11 +205,6 @@ struct ServiceConfig {
   /// Service flight-recorder ring capacity (admit/reject/trip/drain
   /// events); 0 disables.
   std::size_t flight_capacity = 256;
-
-  /// Defaults overlaid with the JHPC_SVC_* knobs, validated like every
-  /// other env knob (garbage or out-of-range throws
-  /// InvalidArgumentError naming the knob).
-  static ServiceConfig from_env();
 };
 
 /// Point-in-time service counters, for tests and monitoring without

@@ -13,7 +13,7 @@
 
 #include "jhpc/obs/recorder.hpp"
 #include "jhpc/support/clock.hpp"
-#include "jhpc/support/env.hpp"
+#include "jhpc/support/knobs.hpp"
 
 namespace jhpc::jhpcd {
 
@@ -89,25 +89,14 @@ JobResult JobHandle::await() const {
   return job_->result;
 }
 
-ServiceConfig ServiceConfig::from_env() {
-  ServiceConfig c;
-  c.workers = static_cast<int>(env_int64_range(
-      "JHPC_SVC_WORKERS", c.workers, /*min_value=*/1, /*max_value=*/256));
-  c.queue_capacity = static_cast<std::size_t>(env_int64_range(
-      "JHPC_SVC_QUEUE_CAP", static_cast<std::int64_t>(c.queue_capacity),
-      /*min_value=*/1));
-  c.depot_max_bytes = static_cast<std::size_t>(env_int64_range(
-      "JHPC_SVC_DEPOT_MAX_BYTES",
-      static_cast<std::int64_t>(c.depot_max_bytes), /*min_value=*/1));
-  c.pool_capacity = static_cast<std::size_t>(env_int64_range(
-      "JHPC_SVC_POOL_CAP", static_cast<std::int64_t>(c.pool_capacity),
-      /*min_value=*/0));
-  c.latency_weight = static_cast<int>(env_int64_range(
-      "JHPC_SVC_LATENCY_WEIGHT", c.latency_weight, /*min_value=*/1,
-      /*max_value=*/64));
-  c.max_ranks_per_job = static_cast<int>(env_int64_range(
-      "JHPC_SVC_MAX_RANKS", c.max_ranks_per_job, /*min_value=*/1));
-  return c;
+ServiceConfig::ServiceConfig() {
+  const KnobEnv env;
+  env.get("JHPC_SVC_WORKERS", workers);
+  env.get("JHPC_SVC_QUEUE_CAP", queue_capacity);
+  env.get("JHPC_SVC_DEPOT_MAX_BYTES", depot_max_bytes);
+  env.get("JHPC_SVC_POOL_CAP", pool_capacity);
+  env.get("JHPC_SVC_LATENCY_WEIGHT", latency_weight);
+  env.get("JHPC_SVC_MAX_RANKS", max_ranks_per_job);
 }
 
 namespace {

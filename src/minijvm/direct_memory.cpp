@@ -1,7 +1,7 @@
 #include "jhpc/minijvm/direct_memory.hpp"
 
 #include "jhpc/minijvm/heap.hpp"
-#include "jhpc/support/env.hpp"
+#include "jhpc/support/knobs.hpp"
 
 namespace jhpc::minijvm {
 
@@ -11,7 +11,8 @@ DirectMemory& DirectMemory::instance() {
 }
 
 DirectMemory::DirectMemory() {
-  limit_ = static_cast<std::size_t>(env_int64("JHPC_MAX_DIRECT_MB", 0)) << 20;
+  KnobEnv().get("JHPC_MAX_DIRECT_MB", limit_);
+  limit_ <<= 20;
 }
 
 void DirectMemory::set_limit(std::size_t bytes) {

@@ -13,7 +13,7 @@ namespace jhpc::minijvm {
 
 class JniEnv;
 
-/// JVM-level configuration.
+/// JVM-level configuration (JHPC_HEAP_MB / JHPC_JNI_CROSS_NS).
 struct JvmConfig {
   /// Managed heap reservation in bytes (split into two semispaces).
   std::size_t heap_bytes = 64 * 1024 * 1024;
@@ -23,9 +23,6 @@ struct JvmConfig {
   /// ("in the ballpark of 1 microsecond" per one-way message, i.e. two
   /// crossings) emerges from this plus the real C++-layer work per call.
   std::int64_t jni_crossing_ns = 400;
-
-  /// Read JHPC_HEAP_MB / JHPC_JNI_CROSS_NS environment overrides.
-  static JvmConfig from_env();
 };
 
 /// One simulated JVM: a managed heap plus its JNI environment. In the
@@ -34,7 +31,7 @@ struct JvmConfig {
 /// design.
 class Jvm {
  public:
-  explicit Jvm(JvmConfig config = JvmConfig::from_env());
+  explicit Jvm(JvmConfig config = {});
   ~Jvm();
   Jvm(const Jvm&) = delete;
   Jvm& operator=(const Jvm&) = delete;

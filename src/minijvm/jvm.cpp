@@ -1,19 +1,8 @@
 #include "jhpc/minijvm/jvm.hpp"
 
 #include "jhpc/minijvm/jni.hpp"
-#include "jhpc/support/env.hpp"
 
 namespace jhpc::minijvm {
-
-JvmConfig JvmConfig::from_env() {
-  JvmConfig cfg;
-  cfg.heap_bytes = static_cast<std::size_t>(env_int64(
-                       "JHPC_HEAP_MB",
-                       static_cast<std::int64_t>(cfg.heap_bytes >> 20)))
-                   << 20;
-  cfg.jni_crossing_ns = env_int64("JHPC_JNI_CROSS_NS", cfg.jni_crossing_ns);
-  return cfg;
-}
 
 Jvm::Jvm(JvmConfig config)
     : config_(config),

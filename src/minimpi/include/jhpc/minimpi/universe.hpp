@@ -16,6 +16,9 @@ namespace jhpc::minimpi {
 
 /// Per-job configuration (the mpirun command line, in effect).
 struct UniverseConfig {
+  /// Takes the fields below, `fabric` and `obs` from the JHPC_* knobs.
+  UniverseConfig();
+
   /// Number of ranks.
   int world_size = 2;
   /// Virtual cluster layout and link parameters.
@@ -26,6 +29,7 @@ struct UniverseConfig {
   /// Env override: JHPC_EAGER_LIMIT.
   std::size_t eager_limit = 16 * 1024;
   /// Collective-algorithm suite ("which native MPI library this is").
+  /// Env: JHPC_COLL, which also applies the suite's profile.
   CollectiveSuite suite = CollectiveSuite::kMv2;
 
   /// Extra per-message sender-side cost for INTRA-NODE messages, ns.
@@ -65,8 +69,8 @@ struct UniverseConfig {
   /// Observability (MPI_T-style pvars + virtual-clock event tracing).
   /// Off by default and strictly zero-cost then: every instrumentation
   /// site guards on one null pointer. Env: JHPC_PVARS / JHPC_TRACE /
-  /// JHPC_TRACE_CAPACITY.
-  obs::ObsConfig obs = obs::ObsConfig::from_env();
+  /// ...; assign obs::ObsConfig{} to ignore them.
+  obs::ObsConfig obs{};
 
   /// Deterministic virtual clock: disable the per-thread CPU-time
   /// passthrough so rank clocks advance ONLY by modelled costs (fabric
@@ -81,9 +85,6 @@ struct UniverseConfig {
   std::size_t bcast_binomial_max = 16 * 1024;
   std::size_t allreduce_rd_max = 16 * 1024;
   std::size_t allgather_rd_max = 32 * 1024;
-
-  /// Apply JHPC_* environment overrides on top of the current values.
-  UniverseConfig& apply_env();
 };
 
 /// One MPI job. Construct, then run() one or more SPMD functions; each run

@@ -3,7 +3,6 @@
 #include <sched.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -13,8 +12,8 @@
 #include <vector>
 
 #include "detail/transport.hpp"
-#include "jhpc/support/env.hpp"
 #include "jhpc/support/error.hpp"
+#include "jhpc/support/knobs.hpp"
 #include "jhpc/support/table.hpp"
 
 namespace jhpc::minimpi {
@@ -56,27 +55,42 @@ void rank_thread_main(detail::UniverseImpl::RankThreads& rt, int rank,
 
 }  // namespace
 
-UniverseConfig& UniverseConfig::apply_env() {
-  fabric = netsim::FabricConfig::from_env();
-  eager_limit = static_cast<std::size_t>(
-      env_int64("JHPC_EAGER_LIMIT", static_cast<std::int64_t>(eager_limit)));
-  deterministic_clock = env_bool("JHPC_DET_CLOCK", deterministic_clock);
-  if (auto s = env_string("JHPC_COLL")) {
-    if (*s == "mv2") {
-      suite = CollectiveSuite::kMv2;
-    } else if (*s == "basic" || *s == "ompi") {
-      suite = CollectiveSuite::kOmpiBasic;
-    } else if (*s == "hier") {
-      suite = CollectiveSuite::kHier;
-    } else {
-      throw InvalidArgumentError("$JHPC_COLL must be 'mv2', 'basic' or "
-                                 "'hier'");
-    }
-    apply_suite_profile();
+UniverseConfig::UniverseConfig() {
+  const KnobEnv env;
+  env.get("JHPC_PPN", fabric.ranks_per_node);
+  env.get("JHPC_INTER_LAT_NS", fabric.inter_latency_ns);
+  env.get("JHPC_INTER_BW_MBPS", fabric.inter_bandwidth_mbps);
+  env.get("JHPC_INTRA_LAT_NS", fabric.intra_latency_ns);
+  env.get("JHPC_PLACEMENT", fabric.placement);
+  netsim::FaultPlan& p = fabric.faults;
+  env.get("JHPC_FAULT_SEED", p.seed);
+  env.get("JHPC_FAULT_DROP", p.link_defaults.drop_prob);
+  env.get("JHPC_FAULT_JITTER_NS", p.link_defaults.jitter_ns);
+  env.get("JHPC_FAULT_BW_FACTOR", p.link_defaults.bandwidth_factor);
+  if (const char* s = env.raw("JHPC_FAULT_DOWN")) p.parse_down(s);
+  // Per-link overrides inherit the defaults above.
+  if (const char* s = env.raw("JHPC_FAULT_LINKS")) p.parse_links(s);
+  env.get("JHPC_FAULT_RTO_NS", p.rto_ns);
+  if (env.get("JHPC_FAULT_RTO_MAX_NS", p.rto_max_ns)) {
+    JHPC_REQUIRE(p.rto_max_ns >= p.rto_ns,
+                 "$JHPC_FAULT_RTO_MAX_NS must be >= the retransmit timeout");
   }
-  hier_flag_ns = env_int64_range("JHPC_HIER_FLAG_NS", hier_flag_ns,
-                                 /*min_value=*/0);
-  return *this;
+  env.get("JHPC_FAULT_TIMEOUT_NS", p.delivery_timeout_ns);
+  if (const char* s = env.raw("JHPC_FAULT_KILL")) p.parse_kills(s);
+  env.get("JHPC_FAULT_HB_NS", p.heartbeat_ns);
+  env.get("JHPC_PVARS", obs.pvars);
+  env.get("JHPC_TRACE", obs.trace_path);
+  env.get("JHPC_TRACE_CAPACITY", obs.trace_capacity);
+  env.get("JHPC_COMM_MATRIX", obs.comm_matrix);
+  env.get("JHPC_COMM_MATRIX_CSV", obs.comm_matrix_csv);
+  env.get("JHPC_PVARS_JSON", obs.pvars_json_path);
+  env.get("JHPC_FLIGHT_RECORDER", obs.flight_recorder);
+  env.get("JHPC_FLIGHT_RECORDER_CAPACITY", obs.flight_capacity);
+  env.get("JHPC_FLIGHT_RECORDER_DUMP", obs.flight_dump_path);
+  env.get("JHPC_EAGER_LIMIT", eager_limit);
+  if (env.get("JHPC_COLL", suite)) apply_suite_profile();
+  env.get("JHPC_HIER_FLAG_NS", hier_flag_ns);
+  env.get("JHPC_DET_CLOCK", deterministic_clock);
 }
 
 Universe::Universe(UniverseConfig config)
@@ -248,7 +262,7 @@ void Universe::run(const std::function<void(Comm&)>& rank_main) {
     // Black-box dump: when a rank failed on a transport timeout or a
     // peer death, the last protocol events are the evidence one debugs
     // with. stderr always; appended to the configured file too so CI can
-    // collect it as an artifact.
+    // collect it as an artifact, also from a job that built its own obs.
     bool fatal = false;
     for (const auto& e : errors) {
       if (!e) continue;
@@ -265,12 +279,8 @@ void Universe::run(const std::function<void(Comm&)>& rank_main) {
       const std::string report = impl_->obs->flight.report();
       std::fputs(report.c_str(), stderr);
       std::string dump_path = rec.config().flight_dump_path;
-      if (dump_path.empty()) {
-        if (const char* env = std::getenv("JHPC_FLIGHT_RECORDER_DUMP");
-            env != nullptr && *env != '\0') {
-          dump_path = env;
-        }
-      }
+      if (dump_path.empty())
+        KnobEnv().get("JHPC_FLIGHT_RECORDER_DUMP", dump_path);
       if (!dump_path.empty()) {
         if (std::FILE* f = std::fopen(dump_path.c_str(), "a")) {
           std::fputs(report.c_str(), f);

@@ -4,21 +4,9 @@
 #include <bit>
 #include <limits>
 
-#include "jhpc/support/env.hpp"
 #include "jhpc/support/error.hpp"
 
 namespace jhpc::mpjbuf {
-
-FactoryConfig FactoryConfig::from_env() {
-  FactoryConfig cfg;
-  cfg.min_capacity = static_cast<std::size_t>(
-      env_int64("JHPC_POOL_MIN_CAPACITY",
-                static_cast<std::int64_t>(cfg.min_capacity)));
-  cfg.max_pooled_buffers = static_cast<std::size_t>(
-      env_int64("JHPC_POOL_MAX_BUFFERS",
-                static_cast<std::int64_t>(cfg.max_pooled_buffers)));
-  return cfg;
-}
 
 BufferFactory::BufferFactory(FactoryConfig config) : config_(config) {
   JHPC_REQUIRE(config_.min_capacity >= 64, "pool min_capacity too small");

@@ -22,16 +22,13 @@
 
 namespace jhpc::mpjbuf {
 
-/// Pool configuration (env-overridable).
+/// Pool configuration (JHPC_POOL_MIN_CAPACITY / JHPC_POOL_MAX_BUFFERS).
 struct FactoryConfig {
   /// Smallest buffer the pool hands out; requests below are rounded up.
   std::size_t min_capacity = 16 * 1024;
   /// Pool retention cap; buffers freed beyond this are dropped (their
   /// direct storage is released).
   std::size_t max_pooled_buffers = 64;
-
-  /// Read JHPC_POOL_MIN_CAPACITY / JHPC_POOL_MAX_BUFFERS.
-  static FactoryConfig from_env();
 };
 
 /// Factory + pool of direct staging buffers.
@@ -40,7 +37,7 @@ struct FactoryConfig {
 /// prevents sharing. Buffers must not outlive their factory.
 class BufferFactory {
  public:
-  explicit BufferFactory(FactoryConfig config = FactoryConfig::from_env());
+  explicit BufferFactory(FactoryConfig config = {});
 
   /// Obtain a staging buffer with capacity >= min_bytes. Pool hit: reuse
   /// (O(1) pop from the request's size class); miss: allocate a fresh

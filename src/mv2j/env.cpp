@@ -1,8 +1,24 @@
 #include "jhpc/mv2j/env.hpp"
 
 #include "jhpc/support/error.hpp"
+#include "jhpc/support/knobs.hpp"
 
 namespace jhpc::bindings {
+
+template <VendorPolicy P>
+RunOptions<P>::RunOptions() {
+  const minimpi::UniverseConfig native;
+  fabric = native.fabric;
+  eager_limit = native.eager_limit;
+  obs = native.obs;
+  const KnobEnv env;
+  if (env.get("JHPC_HEAP_MB", jvm.heap_bytes)) jvm.heap_bytes <<= 20;
+  env.get("JHPC_JNI_CROSS_NS", jvm.jni_crossing_ns);
+  if constexpr (kPooled<P>) {
+    env.get("JHPC_POOL_MIN_CAPACITY", this->pool.min_capacity);
+    env.get("JHPC_POOL_MAX_BUFFERS", this->pool.max_pooled_buffers);
+  }
+}
 
 template <VendorPolicy P>
 minimpi::UniverseConfig RunOptions<P>::universe_config() const {

@@ -27,7 +27,7 @@ namespace jhpc::bindings {
 
 /// The staging-pool knob: only a pooled binding's options have one.
 struct PoolOption {
-  mpjbuf::FactoryConfig pool = mpjbuf::FactoryConfig::from_env();
+  mpjbuf::FactoryConfig pool{};
 };
 struct NoPoolOption {};
 
@@ -35,12 +35,15 @@ struct NoPoolOption {};
 template <VendorPolicy P>
 struct RunOptions
     : std::conditional_t<kPooled<P>, PoolOption, NoPoolOption> {
+  /// Takes every field but `ranks` and `hier_collectives` from the knobs.
+  RunOptions();
+
   int ranks = 2;
   netsim::FabricConfig fabric{};
   std::size_t eager_limit = 16 * 1024;
-  minijvm::JvmConfig jvm = minijvm::JvmConfig::from_env();
+  minijvm::JvmConfig jvm{};
   /// Observability switches (JHPC_PVARS / JHPC_TRACE by default).
-  obs::ObsConfig obs = obs::ObsConfig::from_env();
+  obs::ObsConfig obs{};
   /// Run collectives on the topology-aware hierarchical engine instead
   /// of the vendor's suite (JHPC_COLL=hier equivalent; see docs/API.md).
   bool hier_collectives = false;

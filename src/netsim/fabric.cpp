@@ -3,39 +3,9 @@
 #include <algorithm>
 
 #include "jhpc/support/clock.hpp"
-#include "jhpc/support/env.hpp"
 #include "jhpc/support/error.hpp"
 
 namespace jhpc::netsim {
-
-FabricConfig FabricConfig::from_env() {
-  FabricConfig cfg;
-  cfg.ranks_per_node = static_cast<int>(
-      env_int64("JHPC_PPN", cfg.ranks_per_node));
-  JHPC_REQUIRE(cfg.ranks_per_node >= 0,
-               "$JHPC_PPN must be non-negative (0 = all ranks on one node)");
-  cfg.inter_latency_ns = env_int64("JHPC_INTER_LAT_NS", cfg.inter_latency_ns);
-  JHPC_REQUIRE(cfg.inter_latency_ns >= 0,
-               "$JHPC_INTER_LAT_NS must be non-negative");
-  cfg.inter_bandwidth_mbps =
-      env_double("JHPC_INTER_BW_MBPS", cfg.inter_bandwidth_mbps);
-  JHPC_REQUIRE(cfg.inter_bandwidth_mbps > 0.0,
-               "$JHPC_INTER_BW_MBPS must be positive");
-  cfg.intra_latency_ns = env_int64("JHPC_INTRA_LAT_NS", cfg.intra_latency_ns);
-  JHPC_REQUIRE(cfg.intra_latency_ns >= 0,
-               "$JHPC_INTRA_LAT_NS must be non-negative");
-  cfg.faults = FaultPlan::from_env();
-  if (auto p = env_string("JHPC_PLACEMENT")) {
-    if (*p == "block") {
-      cfg.placement = Placement::kBlock;
-    } else if (*p == "rr") {
-      cfg.placement = Placement::kRoundRobin;
-    } else {
-      throw InvalidArgumentError("$JHPC_PLACEMENT must be 'block' or 'rr'");
-    }
-  }
-  return cfg;
-}
 
 Fabric::Fabric(int world_size, FabricConfig config)
     : config_(config), world_size_(world_size) {

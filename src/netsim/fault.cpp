@@ -2,8 +2,8 @@
 
 #include <cstddef>
 
-#include "jhpc/support/env.hpp"
 #include "jhpc/support/error.hpp"
+#include "jhpc/support/knobs.hpp"
 
 namespace jhpc::netsim {
 
@@ -14,16 +14,6 @@ std::uint64_t splitmix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
-}
-
-void validate_link_faults(const LinkFaults& lf, const std::string& where) {
-  JHPC_REQUIRE(lf.drop_prob >= 0.0 && lf.drop_prob <= 1.0,
-               where + ": drop probability must be in [0, 1]");
-  JHPC_REQUIRE(lf.jitter_ns >= 0, where + ": jitter must be non-negative");
-  JHPC_REQUIRE(lf.down_from_ns >= 0 && lf.down_until_ns >= 0,
-               where + ": down window bounds must be non-negative");
-  JHPC_REQUIRE(lf.bandwidth_factor > 0.0,
-               where + ": bandwidth factor must be positive");
 }
 
 /// "FROM-UNTIL" (or "FROM:UNTIL") -> the two bounds.
@@ -45,6 +35,8 @@ void parse_down_window(const std::string& s, char sep, LinkFaults* lf,
     throw InvalidArgumentError(where + ": cannot parse down window '" + s +
                                "'");
   }
+  JHPC_REQUIRE(lf->down_from_ns >= 0 && lf->down_until_ns >= 0,
+               where + ": down window bounds must be non-negative");
 }
 
 }  // namespace
@@ -64,34 +56,8 @@ const LinkFaults& FaultPlan::link(int src_node, int dst_node) const {
   return link_defaults;
 }
 
-FaultPlan FaultPlan::from_env() {
-  FaultPlan plan;
-  plan.seed = static_cast<std::uint64_t>(
-      env_int64("JHPC_FAULT_SEED", static_cast<std::int64_t>(plan.seed)));
-  plan.link_defaults.drop_prob =
-      env_double("JHPC_FAULT_DROP", plan.link_defaults.drop_prob);
-  plan.link_defaults.jitter_ns =
-      env_int64("JHPC_FAULT_JITTER_NS", plan.link_defaults.jitter_ns);
-  plan.link_defaults.bandwidth_factor =
-      env_double("JHPC_FAULT_BW_FACTOR", plan.link_defaults.bandwidth_factor);
-  if (auto w = env_string("JHPC_FAULT_DOWN")) {
-    parse_down_window(*w, ':', &plan.link_defaults, "$JHPC_FAULT_DOWN");
-  }
-  validate_link_faults(plan.link_defaults, "$JHPC_FAULT_*");
-
-  plan.rto_ns = env_int64_range("JHPC_FAULT_RTO_NS", plan.rto_ns,
-                                /*min_value=*/1);
-  plan.rto_max_ns = env_int64_range("JHPC_FAULT_RTO_MAX_NS", plan.rto_max_ns,
-                                    /*min_value=*/plan.rto_ns);
-  plan.delivery_timeout_ns = env_int64_range(
-      "JHPC_FAULT_TIMEOUT_NS", plan.delivery_timeout_ns, /*min_value=*/1);
-
-  if (auto links = env_string("JHPC_FAULT_LINKS")) plan.parse_links(*links);
-
-  plan.heartbeat_ns = env_int64_range("JHPC_FAULT_HB_NS", plan.heartbeat_ns,
-                                      /*min_value=*/0);
-  if (auto kills = env_string("JHPC_FAULT_KILL")) plan.parse_kills(*kills);
-  return plan;
+void FaultPlan::parse_down(const std::string& spec) {
+  parse_down_window(spec, ':', &link_defaults, "$JHPC_FAULT_DOWN");
 }
 
 void FaultPlan::parse_kills(const std::string& spec) {
@@ -174,25 +140,22 @@ void FaultPlan::parse_links(const std::string& spec) {
                    where + ": expected key=value, got '" + kv + "'");
       const std::string key = kv.substr(0, eq);
       const std::string val = kv.substr(eq + 1);
-      try {
-        if (key == "drop") {
-          ov.faults.drop_prob = std::stod(val);
-        } else if (key == "jitter") {
-          ov.faults.jitter_ns = std::stoll(val);
-        } else if (key == "down") {
-          parse_down_window(val, '-', &ov.faults, where);
-        } else if (key == "bw") {
-          ov.faults.bandwidth_factor = std::stod(val);
-        } else {
-          throw InvalidArgumentError(where + ": unknown key '" + key +
-                                     "' (want drop|jitter|down|bw)");
-        }
-      } catch (const std::logic_error&) {
-        throw InvalidArgumentError(where + ": cannot parse value '" + val +
-                                   "' for key '" + key + "'");
+      // Each key takes the range of its JHPC_FAULT_* knob.
+      if (key == "drop") {
+        ov.faults.drop_prob = parse_knob<double>("JHPC_FAULT_DROP", val);
+      } else if (key == "jitter") {
+        ov.faults.jitter_ns =
+            parse_knob<std::int64_t>("JHPC_FAULT_JITTER_NS", val);
+      } else if (key == "down") {
+        parse_down_window(val, '-', &ov.faults, where);
+      } else if (key == "bw") {
+        ov.faults.bandwidth_factor =
+            parse_knob<double>("JHPC_FAULT_BW_FACTOR", val);
+      } else {
+        throw InvalidArgumentError(where + ": unknown key '" + key +
+                                   "' (want drop|jitter|down|bw)");
       }
     }
-    validate_link_faults(ov.faults, where);
     overrides.push_back(ov);
   }
 }

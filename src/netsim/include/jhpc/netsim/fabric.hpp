@@ -70,13 +70,6 @@ struct FabricConfig {
   /// degradation). Disabled by default; see jhpc/netsim/fault.hpp. Env:
   /// JHPC_FAULT_*.
   FaultPlan faults{};
-
-  /// Read JHPC_PPN / JHPC_INTER_LAT_NS / JHPC_INTER_BW_MBPS /
-  /// JHPC_INTRA_LAT_NS / JHPC_FAULT_*, falling back to the defaults
-  /// above. Values are validated: JHPC_PPN and the latencies must be
-  /// non-negative, the bandwidth positive; garbage throws
-  /// InvalidArgumentError.
-  static FabricConfig from_env();
 };
 
 /// The fabric instance shared by all ranks of one Universe.

@@ -108,14 +108,9 @@ struct FaultPlan {
   /// Fault behaviour of the directed link src_node -> dst_node.
   const LinkFaults& link(int src_node, int dst_node) const;
 
-  /// Read JHPC_FAULT_SEED / JHPC_FAULT_DROP / JHPC_FAULT_JITTER_NS /
-  /// JHPC_FAULT_DOWN ("FROM:UNTIL" in virtual ns) / JHPC_FAULT_BW_FACTOR /
-  /// JHPC_FAULT_LINKS / JHPC_FAULT_RTO_NS / JHPC_FAULT_RTO_MAX_NS /
-  /// JHPC_FAULT_TIMEOUT_NS, plus the rank-failure model: JHPC_FAULT_KILL
-  /// ("RANK@VNS[;RANK@VNS...]") and JHPC_FAULT_HB_NS. Values are
-  /// validated (probabilities in [0,1], durations non-negative, factors
-  /// positive); bad values throw InvalidArgumentError.
-  static FaultPlan from_env();
+  /// Parse a down window "FROM:UNTIL" (virtual ns) into `link_defaults`;
+  /// throws InvalidArgumentError on malformed input or negative bounds.
+  void parse_down(const std::string& spec);
 
   /// Parse a kill spec into `kills`:
   ///

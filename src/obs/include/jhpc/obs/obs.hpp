@@ -20,12 +20,8 @@
 
 namespace jhpc::obs {
 
-/// Observability switches. Off by default; enabled per job via config or
-/// the environment (the knobs every binary inherits through
-/// support/env): JHPC_PVARS=1, JHPC_TRACE=path, JHPC_TRACE_CAPACITY=n,
-/// JHPC_COMM_MATRIX=1, JHPC_COMM_MATRIX_CSV=path, JHPC_PVARS_JSON=path,
-/// JHPC_FLIGHT_RECORDER=0|1, JHPC_FLIGHT_RECORDER_CAPACITY=n,
-/// JHPC_FLIGHT_RECORDER_DUMP=path.
+/// Observability switches, off by default; a minimpi::UniverseConfig takes
+/// them from JHPC_PVARS, JHPC_TRACE and the other obs knobs.
 struct ObsConfig {
   /// Collect performance variables and print the finalize summary table.
   bool pvars = false;
@@ -61,12 +57,6 @@ struct ObsConfig {
            !comm_matrix_csv.empty() || !pvars_json_path.empty() ||
            !flight_dump_path.empty();
   }
-
-  /// Defaults overlaid with the JHPC_* knobs above. Capacities are
-  /// validated like every other env knob: non-numeric or non-positive
-  /// values raise InvalidArgumentError instead of arming a zero-sized
-  /// ring.
-  static ObsConfig from_env();
 };
 
 /// Per-(src,dst) traffic accounting: messages and payload bytes, updated

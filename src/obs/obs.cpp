@@ -3,41 +3,9 @@
 #include <cstdio>
 #include <fstream>
 
-#include "jhpc/support/env.hpp"
 #include "jhpc/support/error.hpp"
 
 namespace jhpc::obs {
-
-namespace {
-
-/// Env capacity knob: numeric and strictly positive, or
-/// InvalidArgumentError naming the knob (support/env's validated helper).
-std::size_t env_capacity(const char* name, std::size_t default_value) {
-  return static_cast<std::size_t>(env_int64_range(
-      name, static_cast<std::int64_t>(default_value), /*min_value=*/1));
-}
-
-}  // namespace
-
-ObsConfig ObsConfig::from_env() {
-  ObsConfig cfg;
-  cfg.pvars = env_bool("JHPC_PVARS", cfg.pvars);
-  cfg.trace_path = env_string("JHPC_TRACE").value_or(cfg.trace_path);
-  cfg.trace_capacity = env_capacity("JHPC_TRACE_CAPACITY",
-                                    cfg.trace_capacity);
-  cfg.comm_matrix = env_bool("JHPC_COMM_MATRIX", cfg.comm_matrix);
-  cfg.comm_matrix_csv =
-      env_string("JHPC_COMM_MATRIX_CSV").value_or(cfg.comm_matrix_csv);
-  cfg.pvars_json_path =
-      env_string("JHPC_PVARS_JSON").value_or(cfg.pvars_json_path);
-  cfg.flight_recorder =
-      env_bool("JHPC_FLIGHT_RECORDER", cfg.flight_recorder);
-  cfg.flight_capacity = env_capacity("JHPC_FLIGHT_RECORDER_CAPACITY",
-                                     cfg.flight_capacity);
-  cfg.flight_dump_path =
-      env_string("JHPC_FLIGHT_RECORDER_DUMP").value_or(cfg.flight_dump_path);
-  return cfg;
-}
 
 CommMatrix::CommMatrix(int ranks) : ranks_(ranks) {
   JHPC_REQUIRE(ranks >= 1, "CommMatrix needs at least one rank");

@@ -4,6 +4,7 @@
 #include <iostream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "jhpc/minimpi/universe.hpp"
@@ -11,6 +12,7 @@
 #include "jhpc/ombj/benchmarks.hpp"
 #include "jhpc/ompij/ompij.hpp"
 #include "jhpc/support/error.hpp"
+#include "jhpc/support/knobs.hpp"
 #include "jhpc/support/paths.hpp"
 #include "jhpc/support/sizes.hpp"
 #include "jhpc/support/stats.hpp"
@@ -51,23 +53,13 @@ obs::ObsConfig obs_for(const FigureSpec& fig, const std::string& label) {
 }
 
 /// The collective-engine override in effect for one series: the series'
-/// own `coll` wins, then the figure-wide `--coll`, else the library
-/// default (empty).
-std::string coll_for(const FigureSpec& fig, const SeriesSpec& series) {
+/// own `coll` wins, then the figure-wide `--coll`/JHPC_COLL; none keeps
+/// the library's own suite.
+std::optional<minimpi::CollectiveSuite> suite_for(const FigureSpec& fig,
+                                                  const SeriesSpec& series) {
   const std::string& coll = !series.coll.empty() ? series.coll : fig.coll;
-  JHPC_REQUIRE(coll.empty() || coll == "mv2" || coll == "basic" ||
-                   coll == "hier",
-               "collective engine must be 'mv2', 'basic' or 'hier', got '" +
-                   coll + "'");
-  return coll;
-}
-
-minimpi::CollectiveSuite suite_for(const std::string& coll,
-                                   minimpi::CollectiveSuite fallback) {
-  if (coll == "mv2") return minimpi::CollectiveSuite::kMv2;
-  if (coll == "basic") return minimpi::CollectiveSuite::kOmpiBasic;
-  if (coll == "hier") return minimpi::CollectiveSuite::kHier;
-  return fallback;
+  if (coll.empty()) return std::nullopt;
+  return parse_knob<minimpi::CollectiveSuite>("JHPC_COLL", coll);
 }
 
 /// One bindings job of vendor P, its heap sized for the benchmark's
@@ -75,15 +67,15 @@ minimpi::CollectiveSuite suite_for(const std::string& coll,
 /// identity ("mv2j runs on MVAPICH2"); `--coll hier` swaps in the
 /// hierarchical engine underneath.
 template <bindings::VendorPolicy P>
-std::vector<ResultRow> run_bindings(const FigureSpec& fig,
-                                    const BenchOptions& options,
-                                    const obs::ObsConfig& obs,
-                                    const std::string& coll) {
+std::vector<ResultRow> run_bindings(
+    const FigureSpec& fig, const BenchOptions& options,
+    const obs::ObsConfig& obs,
+    std::optional<minimpi::CollectiveSuite> suite) {
   bindings::RunOptions<P> opts;
   opts.ranks = fig.ranks;
   opts.fabric = fabric_for(fig);
   opts.obs = obs;
-  opts.hier_collectives = coll == "hier";
+  opts.hier_collectives = suite == minimpi::CollectiveSuite::kHier;
   opts.jvm.heap_bytes =
       std::max<std::size_t>(32ull << 20, 8 * fig.options.max_size);
   std::vector<ResultRow> rows;
@@ -96,6 +88,77 @@ std::vector<ResultRow> run_bindings(const FigureSpec& fig,
 
 }  // namespace
 
+FigureSpec::FigureSpec() {
+  const minimpi::UniverseConfig native;
+  ppn = native.fabric.ranks_per_node;
+  fabric = native.fabric;
+  obs = native.obs;
+  KnobEnv().get("JHPC_COLL", coll);
+}
+
+void parse_flags(FigureSpec& fig, int argc, char** argv,
+                 const FlagFn& other) {
+  netsim::FaultPlan& faults = fig.fabric.faults;
+  netsim::LinkFaults& link = faults.link_defaults;
+  obs::ObsConfig& o = fig.obs;
+  for (int i = 1; i < argc; ++i) {
+    const std::string flag = argv[i];
+    const std::function<std::string()> value = [&] {
+      JHPC_REQUIRE(i + 1 < argc, "missing value for " + flag);
+      return std::string(argv[++i]);
+    };
+    const auto count = [&] {  // --ranks, --iters, --window: at least 1
+      const int n = std::stoi(value());
+      if (n < 1) throw InvalidArgumentError(flag + " wants an integer >= 1");
+      return n;
+    };
+    if (flag == "--ranks") {
+      fig.ranks = count();
+    } else if (flag == "--ppn") {
+      fig.ppn = parse_knob<int>("JHPC_PPN", value());
+    } else if (flag == "--min") {
+      fig.options.min_size = parse_size(value());
+    } else if (flag == "--max") {
+      fig.options.max_size = parse_size(value());
+    } else if (flag == "--iters") {
+      fig.options.iters_small = count();
+      fig.options.iters_large = std::max(1, fig.options.iters_small / 10);
+    } else if (flag == "--window") {
+      fig.options.window = count();
+    } else if (flag == "--coll") {
+      fig.coll = parse_knob<std::string>("JHPC_COLL", value());
+    } else if (flag == "--pvars") {
+      o.pvars = true;
+    } else if (flag == "--pvars-json") {
+      o.pvars_json_path = parse_knob<std::string>("JHPC_PVARS_JSON", value());
+    } else if (flag == "--comm-matrix") {
+      o.comm_matrix = true;
+      o.comm_matrix_csv =
+          parse_knob<std::string>("JHPC_COMM_MATRIX_CSV", value());
+    } else if (flag == "--trace") {
+      o.trace_path = parse_knob<std::string>("JHPC_TRACE", value());
+    } else if (flag.rfind("--trace=", 0) == 0) {
+      o.trace_path = parse_knob<std::string>("JHPC_TRACE", flag.substr(8));
+    } else if (flag == "--fault-seed") {
+      faults.seed = parse_knob<std::uint64_t>("JHPC_FAULT_SEED", value());
+    } else if (flag == "--drop") {
+      link.drop_prob = parse_knob<double>("JHPC_FAULT_DROP", value());
+    } else if (flag == "--fault-jitter") {
+      link.jitter_ns =
+          parse_knob<std::int64_t>("JHPC_FAULT_JITTER_NS", value());
+    } else if (flag == "--kill-rank") {
+      faults.parse_kills(value());  // the JHPC_FAULT_KILL row's parser
+      for (const auto& k : faults.kills)
+        JHPC_REQUIRE(k.rank != 0,
+                     "--kill-rank: rank 0 reports the results and must "
+                     "survive; kill a nonzero rank");
+      fig.options.resilient = true;
+    } else if (!other(flag, value)) {
+      throw InvalidArgumentError("unknown flag: " + flag);
+    }
+  }
+}
+
 SeriesResult run_series(const FigureSpec& fig, const SeriesSpec& series) {
   SeriesResult result;
   result.label = series.label.empty() ? default_label(series) : series.label;
@@ -104,7 +167,7 @@ SeriesResult run_series(const FigureSpec& fig, const SeriesSpec& series) {
   BenchOptions options = fig.options;
   options.api = series.api;
   const obs::ObsConfig obs = obs_for(fig, result.label);
-  const std::string coll = coll_for(fig, series);
+  const std::optional<minimpi::CollectiveSuite> suite = suite_for(fig, series);
 
   try {
     switch (series.library) {
@@ -112,18 +175,18 @@ SeriesResult run_series(const FigureSpec& fig, const SeriesSpec& series) {
       case Library::kOmpij:
         result.rows = series.library == Library::kMv2j
                           ? run_bindings<bindings::kMv2j>(fig, options, obs,
-                                                          coll)
+                                                          suite)
                           : run_bindings<bindings::kOmpij>(fig, options, obs,
-                                                           coll);
+                                                           suite);
         break;
       case Library::kNativeMv2:
       case Library::kNativeOmpi: {
         minimpi::UniverseConfig cfg;
         cfg.world_size = fig.ranks;
         cfg.fabric = fabric_for(fig);
-        cfg.suite = suite_for(coll, series.library == Library::kNativeMv2
-                                         ? minimpi::CollectiveSuite::kMv2
-                                         : minimpi::CollectiveSuite::kOmpiBasic);
+        cfg.suite = suite.value_or(series.library == Library::kNativeMv2
+                                       ? minimpi::CollectiveSuite::kMv2
+                                       : minimpi::CollectiveSuite::kOmpiBasic);
         cfg.apply_suite_profile();
         cfg.obs = obs;
         // The native library has one kind of payload, plain memory: both
@@ -226,73 +289,31 @@ double average_ratio(const std::vector<SeriesResult>& results,
   return geometric_mean(ratios);
 }
 
-int figure_main(FigureSpec fig, int argc, char** argv) {
-  std::string csv_path;
-  bool quick = false;
+int figure_main(
+    int argc, char** argv, const std::function<void(FigureSpec&)>& setup,
+    const std::function<void(const std::vector<SeriesResult>&,
+                             const std::string& csv_path)>& report) {
   try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto next = [&]() -> std::string {
-        JHPC_REQUIRE(i + 1 < argc, "missing value for " + arg);
-        return argv[++i];
-      };
-      if (arg == "--ranks") {
-        fig.ranks = std::stoi(next());
-      } else if (arg == "--ppn") {
-        fig.ppn = std::stoi(next());
-      } else if (arg == "--min") {
-        fig.options.min_size = parse_size(next());
-      } else if (arg == "--max") {
-        fig.options.max_size = parse_size(next());
-      } else if (arg == "--iters") {
-        fig.options.iters_small = std::stoi(next());
-        fig.options.iters_large = std::max(1, fig.options.iters_small / 10);
-      } else if (arg == "--window") {
-        fig.options.window = std::stoi(next());
-      } else if (arg == "--coll") {
-        fig.coll = next();
-      } else if (arg == "--csv") {
-        csv_path = next();
-      } else if (arg == "--quick") {
-        quick = true;
-      } else if (arg == "--pvars") {
-        fig.obs.pvars = true;
-      } else if (arg == "--pvars-json") {
-        fig.obs.pvars_json_path = next();
-      } else if (arg == "--comm-matrix") {
-        fig.obs.comm_matrix = true;
-        fig.obs.comm_matrix_csv = next();
-      } else if (arg == "--trace") {
-        fig.obs.trace_path = next();
-      } else if (arg.rfind("--trace=", 0) == 0) {
-        fig.obs.trace_path = arg.substr(std::string("--trace=").size());
-      } else if (arg == "--fault-seed") {
-        fig.fabric.faults.seed =
-            static_cast<std::uint64_t>(std::stoull(next()));
-      } else if (arg == "--drop") {
-        fig.fabric.faults.link_defaults.drop_prob = std::stod(next());
-      } else if (arg == "--fault-jitter") {
-        fig.fabric.faults.link_defaults.jitter_ns = std::stoll(next());
-      } else if (arg == "--kill-rank") {
-        fig.fabric.faults.parse_kills(next());
-        for (const auto& k : fig.fabric.faults.kills)
-          JHPC_REQUIRE(k.rank != 0,
-                       "--kill-rank: rank 0 reports the results and must "
-                       "survive; kill a nonzero rank");
-        fig.options.resilient = true;
-      } else if (arg == "--help" || arg == "-h") {
-        std::cout << fig.id << ": " << fig.title << "\n"
-                  << "flags: --ranks N --ppn N --min SZ --max SZ --iters N "
-                     "--window N --coll mv2|basic|hier --csv PATH --quick "
-                     "--pvars "
-                     "--pvars-json FILE --comm-matrix FILE --trace FILE\n"
-                     "       --fault-seed N --drop P --fault-jitter NS "
-                     "--kill-rank R@N (seeded fault injection and ULFM "
-                     "recovery, docs/FAULTS.md)\n";
-        return 0;
-      } else {
-        throw InvalidArgumentError("unknown flag: " + arg);
-      }
+    FigureSpec fig;
+    setup(fig);
+    std::string csv_path;
+    bool quick = false;
+    bool help = false;
+    parse_flags(fig, argc, argv, [&](const std::string& flag, auto value) {
+      if (flag == "--csv") csv_path = value();
+      else if (flag == "--quick") quick = true;
+      else if (flag == "--help" || flag == "-h") help = true;
+      else return false;
+      return true;
+    });
+    if (help) {
+      std::cout << fig.id << ": " << fig.title << "\n"
+                << "flags: --ranks N --ppn N --min SZ --max SZ --iters N "
+                   "--window N --coll mv2|basic|hier --csv PATH --quick\n"
+                   "       --pvars --pvars-json FILE --comm-matrix FILE "
+                   "--trace FILE --fault-seed N --drop P --fault-jitter NS\n"
+                   "       --kill-rank R@N (docs/FAULTS.md)\n";
+      return 0;
     }
     if (quick) {
       fig.options.iters_small = std::min(fig.options.iters_small, 20);
@@ -323,13 +344,14 @@ int figure_main(FigureSpec fig, int argc, char** argv) {
                   << "): " << fmt_double(ratio, 2) << "x\n";
       }
     }
+    if (report) report(results, csv_path);
     if (!csv_path.empty()) {
       table.write_csv(csv_path);
       std::cout << "csv written to " << csv_path << "\n";
     }
     return 0;
   } catch (const std::exception& e) {
-    std::cerr << fig.id << " failed: " << e.what() << "\n";
+    std::cerr << argv[0] << " failed: " << e.what() << "\n";
     return 1;
   }
 }

@@ -4,6 +4,7 @@
 // Every fig*_ binary in bench/ is a thin FigureSpec around this.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,9 @@ struct SeriesSpec {
 
 /// One paper figure (or ablation) to regenerate.
 struct FigureSpec {
+  /// Takes `ppn`, `fabric`, `obs` and `coll` from the JHPC_* knobs.
+  FigureSpec();
+
   std::string id;            ///< e.g. "fig05"
   std::string title;         ///< human description printed above the table
   BenchKind kind = BenchKind::kLatency;
@@ -45,11 +49,22 @@ struct FigureSpec {
   /// Observability for every series' job (--pvars / --trace flags, or the
   /// JHPC_PVARS / JHPC_TRACE env). Multi-series figures tag the trace
   /// path per series ("out.json" -> "out.mv2j_buffer.json").
-  obs::ObsConfig obs = obs::ObsConfig::from_env();
-  /// Figure-wide collective-engine override (`--coll mv2|basic|hier`);
-  /// a series' own `coll` wins over this.
+  obs::ObsConfig obs{};
+  /// Figure-wide collective-engine override (`--coll mv2|basic|hier`,
+  /// JHPC_COLL); a series' own `coll` wins over this.
   std::string coll;
 };
+
+/// Takes a flag parse_flags does not know (and its `value()`); false
+/// when the flag is unknown here too.
+using FlagFn = std::function<bool(const std::string& flag,
+                                  const std::function<std::string()>& value)>;
+
+/// Applies the flags ombj and the figure binaries share to `fig`, in argv
+/// order, and any other flag through `other`. A flag that mirrors a knob
+/// parses through the knob's row; --ranks, --iters and --window must be
+/// at least 1. Throws InvalidArgumentError on a bad value or flag.
+void parse_flags(FigureSpec& fig, int argc, char** argv, const FlagFn& other);
 
 /// Run one series in a fresh job; never throws for unsupported
 /// combinations (reports them in the result instead).
@@ -69,10 +84,13 @@ double average_ratio(const std::vector<SeriesResult>& results,
                      const std::string& baseline_label,
                      const std::string& candidate_label);
 
-/// Standard entry point for the bench/fig*_ binaries: parse common flags
-/// (--ranks, --ppn, --min, --max, --iters, --csv, --quick), apply them to
-/// the spec, run, print, optionally write CSV. Returns the process exit
-/// code.
-int figure_main(FigureSpec fig, int argc, char** argv);
+/// Standard entry point for the bench/fig*_ binaries: build a FigureSpec,
+/// let `setup` fill it in, apply the shared flags plus --csv, --quick and
+/// --help, run, print (then `report`, if given), write CSV. Returns the
+/// exit code: 1, with the reason on stderr, when anything fails.
+int figure_main(
+    int argc, char** argv, const std::function<void(FigureSpec&)>& setup,
+    const std::function<void(const std::vector<SeriesResult>&,
+                             const std::string& csv_path)>& report = {});
 
 }  // namespace jhpc::ombj

@@ -14,7 +14,6 @@
 
 #include "jhpc/ombj/harness.hpp"
 #include "jhpc/support/error.hpp"
-#include "jhpc/support/sizes.hpp"
 
 namespace {
 
@@ -63,80 +62,35 @@ jhpc::ombj::Library library_from(const std::string& s) {
   throw jhpc::InvalidArgumentError("unknown --lib: " + s);
 }
 
+jhpc::ombj::Api api_from(const std::string& s) {
+  JHPC_REQUIRE(s == "buffer" || s == "arrays",
+               "--api must be buffer or arrays");
+  return s == "buffer" ? jhpc::ombj::Api::kBuffer : jhpc::ombj::Api::kArrays;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace jhpc::ombj;
-  FigureSpec fig;
-  fig.id = "ombj";
-  SeriesSpec series{Library::kMv2j, Api::kBuffer, ""};
-  std::string csv_path;
   try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto next = [&]() -> std::string {
-        JHPC_REQUIRE(i + 1 < argc, "missing value for " + arg);
-        return argv[++i];
-      };
-      if (arg == "--bench") {
-        fig.kind = bench_from_name(next());
-      } else if (arg == "--lib") {
-        series.library = library_from(next());
-      } else if (arg == "--api") {
-        const std::string a = next();
-        JHPC_REQUIRE(a == "buffer" || a == "arrays",
-                     "--api must be buffer or arrays");
-        series.api = a == "buffer" ? Api::kBuffer : Api::kArrays;
-      } else if (arg == "--coll") {
-        fig.coll = next();  // validated against mv2|basic|hier in run_figure
-      } else if (arg == "--ranks") {
-        fig.ranks = std::stoi(next());
-      } else if (arg == "--ppn") {
-        fig.ppn = std::stoi(next());
-      } else if (arg == "--min") {
-        fig.options.min_size = jhpc::parse_size(next());
-      } else if (arg == "--max") {
-        fig.options.max_size = jhpc::parse_size(next());
-      } else if (arg == "--iters") {
-        fig.options.iters_small = std::stoi(next());
-        fig.options.iters_large = std::max(1, fig.options.iters_small / 10);
-      } else if (arg == "--window") {
-        fig.options.window = std::stoi(next());
-      } else if (arg == "--validate") {
-        fig.options.validate = true;
-      } else if (arg == "--csv") {
-        csv_path = next();
-      } else if (arg == "--pvars") {
-        fig.obs.pvars = true;
-      } else if (arg == "--pvars-json") {
-        fig.obs.pvars_json_path = next();
-      } else if (arg == "--comm-matrix") {
-        fig.obs.comm_matrix = true;
-        fig.obs.comm_matrix_csv = next();
-      } else if (arg == "--trace") {
-        fig.obs.trace_path = next();
-      } else if (arg.rfind("--trace=", 0) == 0) {
-        fig.obs.trace_path = arg.substr(std::string("--trace=").size());
-      } else if (arg == "--fault-seed") {
-        fig.fabric.faults.seed =
-            static_cast<std::uint64_t>(std::stoull(next()));
-      } else if (arg == "--drop") {
-        fig.fabric.faults.link_defaults.drop_prob = std::stod(next());
-      } else if (arg == "--fault-jitter") {
-        fig.fabric.faults.link_defaults.jitter_ns = std::stoll(next());
-      } else if (arg == "--kill-rank") {
-        fig.fabric.faults.parse_kills(next());
-        for (const auto& k : fig.fabric.faults.kills)
-          JHPC_REQUIRE(k.rank != 0,
-                       "--kill-rank: rank 0 reports the results and must "
-                       "survive; kill a nonzero rank");
-        fig.options.resilient = true;
-      } else if (arg == "--help" || arg == "-h") {
-        usage();
-        return 0;
-      } else {
-        throw jhpc::InvalidArgumentError("unknown flag: " + arg);
-      }
+    FigureSpec fig;
+    fig.id = "ombj";
+    SeriesSpec series{Library::kMv2j, Api::kBuffer, ""};
+    std::string csv_path;
+    bool help = false;
+    parse_flags(fig, argc, argv, [&](const std::string& flag, auto value) {
+      if (flag == "--bench") fig.kind = bench_from_name(value());
+      else if (flag == "--lib") series.library = library_from(value());
+      else if (flag == "--api") series.api = api_from(value());
+      else if (flag == "--validate") fig.options.validate = true;
+      else if (flag == "--csv") csv_path = value();
+      else if (flag == "--help" || flag == "-h") help = true;
+      else return false;
+      return true;
+    });
+    if (help) {
+      usage();
+      return 0;
     }
     fig.options.api = series.api;
     fig.title = std::string("osu_") + bench_name(fig.kind) + " on " +

@@ -141,9 +141,11 @@ struct Rank {
 template <class Api>
 class BindingsConformance : public ::testing::Test {
  protected:
-  /// 4 ranks, 2 per node, no modelled JNI crossing cost.
+  /// 4 ranks, 2 per node, no modelled JNI crossing cost, observability
+  /// off whatever the environment says.
   static void job(const std::function<void(typename Api::Env&)>& body) {
     typename Api::RunOptions o;
+    o.obs = obs::ObsConfig{};
     o.ranks = 4;
     o.fabric.ranks_per_node = 2;
     o.jvm.heap_bytes = 8 << 20;

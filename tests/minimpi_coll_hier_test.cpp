@@ -377,18 +377,16 @@ TEST(CollHierPvarsTest, CollAlgInvocationPvarsTick) {
 TEST(CollHierConfigTest, EnvSelectsSuiteAndValidatesFlagCost) {
   ::setenv("JHPC_COLL", "hier", 1);
   ::setenv("JHPC_HIER_FLAG_NS", "55", 1);
-  UniverseConfig c;
-  c.world_size = 2;
-  c.apply_env();
+  const UniverseConfig c;
   EXPECT_EQ(c.suite, CollectiveSuite::kHier);
   EXPECT_EQ(c.hier_flag_ns, 55);
 
   ::setenv("JHPC_HIER_FLAG_NS", "-2", 1);
-  EXPECT_THROW(c.apply_env(), jhpc::Error);
+  EXPECT_THROW(UniverseConfig{}, jhpc::Error);
   ::unsetenv("JHPC_HIER_FLAG_NS");
 
   ::setenv("JHPC_COLL", "sideways", 1);
-  EXPECT_THROW(c.apply_env(), jhpc::Error);
+  EXPECT_THROW(UniverseConfig{}, jhpc::Error);
   ::unsetenv("JHPC_COLL");
 }
 

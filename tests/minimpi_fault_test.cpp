@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -704,6 +705,63 @@ TEST(FaultTimeoutTest, FlightRecorderCanBeOptedOut) {
       TransportTimeoutError);
   EXPECT_FALSE(std::ifstream(dump).good())
       << "opted-out flight recorder must not dump";
+}
+
+// The sanitizer CI jobs set JHPC_FLIGHT_RECORDER_DUMP so that a failing
+// test leaves its black-box dump as an artifact. A job that takes its obs
+// config from the environment and one whose code built its own must both
+// append to that file.
+TEST(FaultTimeoutTest, FlightDumpKnobCollectsEveryFailedJob) {
+  const std::string dump = testing::TempDir() + "flight_knob.txt";
+  std::remove(dump.c_str());
+  const char* ci_dump = std::getenv("JHPC_FLIGHT_RECORDER_DUMP");
+  const std::string saved = ci_dump != nullptr ? ci_dump : "";
+  ::setenv("JHPC_FLIGHT_RECORDER_DUMP", dump.c_str(), 1);
+
+  UniverseConfig from_env;  // a TransportTimeoutError
+  from_env.world_size = 2;
+  from_env.fabric.ranks_per_node = 1;
+  from_env.fabric.faults.link_defaults.drop_prob = 1.0;
+  from_env.fabric.faults.delivery_timeout_ns = 2'000'000;
+  EXPECT_THROW(Universe::launch(from_env,
+                                [](Comm& world) {
+                                  char t = 7;
+                                  if (world.rank() == 0) {
+                                    world.send(&t, sizeof(t), 1, 0);
+                                  } else {
+                                    world.recv(&t, sizeof(t), 0, 0);
+                                  }
+                                }),
+               TransportTimeoutError);
+
+  UniverseConfig own;  // a fatal rank kill
+  own.world_size = 2;
+  own.obs = obs::ObsConfig{};
+  own.obs.pvars = true;
+  own.fabric.faults.kills = {{1, 0}};
+  EXPECT_THROW(Universe::launch(own,
+                                [](Comm& world) {
+                                  char b = 0;
+                                  world.recv(&b, 1, 1 - world.rank(), 7);
+                                }),
+               RankFailedError);
+
+  if (saved.empty()) {
+    ::unsetenv("JHPC_FLIGHT_RECORDER_DUMP");
+  } else {
+    ::setenv("JHPC_FLIGHT_RECORDER_DUMP", saved.c_str(), 1);
+  }
+  std::ifstream f(dump);
+  ASSERT_TRUE(f.good()) << "no flight dump in " << dump;
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  const std::string report = ss.str();
+  const std::size_t first = report.find("flight recorder");
+  ASSERT_NE(first, std::string::npos);
+  EXPECT_NE(report.find("flight recorder", first + 1), std::string::npos)
+      << "one dump, not two:\n" << report;
+  EXPECT_NE(report.find("timeout"), std::string::npos);
+  EXPECT_NE(report.find("kill"), std::string::npos);
 }
 
 TEST(FaultTimeoutTest, WaitSurfacesTimeoutOnBothSides) {

@@ -22,8 +22,8 @@ UniverseConfig quiet_config(bool pvars) {
   UniverseConfig cfg;
   cfg.world_size = 2;
   cfg.deterministic_clock = true;
+  cfg.obs = obs::ObsConfig{};  // hermetic: JHPC_FLIGHT_RECORDER_DUMP arms obs
   cfg.obs.pvars = pvars;
-  cfg.obs.trace_path.clear();
   return cfg;
 }
 

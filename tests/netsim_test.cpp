@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "jhpc/minimpi/universe.hpp"
 #include "jhpc/netsim/fabric.hpp"
 #include "jhpc/support/error.hpp"
 
@@ -309,6 +310,8 @@ TEST(FaultFabricTest, MessageSequencesArePerDirectedPairAndReset) {
 }
 
 // --- Environment validation ---------------------------------------------------
+// The fabric and fault knobs reach a job through minimpi::UniverseConfig,
+// whose default constructor reads them from the knob registry.
 
 class EnvGuard {
  public:
@@ -324,54 +327,54 @@ class EnvGuard {
 TEST(EnvValidationTest, FabricRejectsNegativeKnobs) {
   {
     EnvGuard g("JHPC_PPN", "-1");
-    EXPECT_THROW(FabricConfig::from_env(), InvalidArgumentError);
+    EXPECT_THROW(minimpi::UniverseConfig{}, InvalidArgumentError);
   }
   {
     EnvGuard g("JHPC_INTER_LAT_NS", "-10");
-    EXPECT_THROW(FabricConfig::from_env(), InvalidArgumentError);
+    EXPECT_THROW(minimpi::UniverseConfig{}, InvalidArgumentError);
   }
   {
     EnvGuard g("JHPC_INTER_BW_MBPS", "0");
-    EXPECT_THROW(FabricConfig::from_env(), InvalidArgumentError);
+    EXPECT_THROW(minimpi::UniverseConfig{}, InvalidArgumentError);
   }
   {
     EnvGuard g("JHPC_INTRA_LAT_NS", "-1");
-    EXPECT_THROW(FabricConfig::from_env(), InvalidArgumentError);
+    EXPECT_THROW(minimpi::UniverseConfig{}, InvalidArgumentError);
   }
 }
 
 TEST(EnvValidationTest, FaultEnvRejectsBadValues) {
   {
     EnvGuard g("JHPC_FAULT_DROP", "1.5");
-    EXPECT_THROW(FaultPlan::from_env(), InvalidArgumentError);
+    EXPECT_THROW(minimpi::UniverseConfig{}, InvalidArgumentError);
   }
   {
     EnvGuard g("JHPC_FAULT_DROP", "-0.1");
-    EXPECT_THROW(FaultPlan::from_env(), InvalidArgumentError);
+    EXPECT_THROW(minimpi::UniverseConfig{}, InvalidArgumentError);
   }
   {
     EnvGuard g("JHPC_FAULT_JITTER_NS", "-5");
-    EXPECT_THROW(FaultPlan::from_env(), InvalidArgumentError);
+    EXPECT_THROW(minimpi::UniverseConfig{}, InvalidArgumentError);
   }
   {
     EnvGuard g("JHPC_FAULT_BW_FACTOR", "0");
-    EXPECT_THROW(FaultPlan::from_env(), InvalidArgumentError);
+    EXPECT_THROW(minimpi::UniverseConfig{}, InvalidArgumentError);
   }
   {
     EnvGuard g("JHPC_FAULT_RTO_NS", "0");
-    EXPECT_THROW(FaultPlan::from_env(), InvalidArgumentError);
+    EXPECT_THROW(minimpi::UniverseConfig{}, InvalidArgumentError);
   }
   {
     EnvGuard g("JHPC_FAULT_RTO_MAX_NS", "10");  // below the default RTO
-    EXPECT_THROW(FaultPlan::from_env(), InvalidArgumentError);
+    EXPECT_THROW(minimpi::UniverseConfig{}, InvalidArgumentError);
   }
   {
     EnvGuard g("JHPC_FAULT_TIMEOUT_NS", "-1");
-    EXPECT_THROW(FaultPlan::from_env(), InvalidArgumentError);
+    EXPECT_THROW(minimpi::UniverseConfig{}, InvalidArgumentError);
   }
   {
     EnvGuard g("JHPC_FAULT_DOWN", "1000");  // missing FROM:UNTIL separator
-    EXPECT_THROW(FaultPlan::from_env(), InvalidArgumentError);
+    EXPECT_THROW(minimpi::UniverseConfig{}, InvalidArgumentError);
   }
 }
 
@@ -405,7 +408,7 @@ TEST(FaultPlanTest, ParseKillsRejectsMalformedSpecs) {
 TEST(EnvValidationTest, KillEnvRoundTrips) {
   EnvGuard kill("JHPC_FAULT_KILL", "2@750000");
   EnvGuard hb("JHPC_FAULT_HB_NS", "250000");
-  const FaultPlan plan = FaultPlan::from_env();
+  const FaultPlan plan = minimpi::UniverseConfig{}.fabric.faults;
   ASSERT_EQ(plan.kills.size(), 1u);
   EXPECT_EQ(plan.kills[0].rank, 2);
   EXPECT_EQ(plan.kills[0].at_vns, 750000);
@@ -415,11 +418,11 @@ TEST(EnvValidationTest, KillEnvRoundTrips) {
 TEST(EnvValidationTest, KillEnvRejectsBadValues) {
   {
     EnvGuard g("JHPC_FAULT_KILL", "banana");
-    EXPECT_THROW(FaultPlan::from_env(), jhpc::InvalidArgumentError);
+    EXPECT_THROW(minimpi::UniverseConfig{}, jhpc::InvalidArgumentError);
   }
   {
     EnvGuard g("JHPC_FAULT_HB_NS", "-1");
-    EXPECT_THROW(FaultPlan::from_env(), jhpc::InvalidArgumentError);
+    EXPECT_THROW(minimpi::UniverseConfig{}, jhpc::InvalidArgumentError);
   }
 }
 
@@ -429,7 +432,7 @@ TEST(EnvValidationTest, FaultEnvRoundTrips) {
   EnvGuard jitter("JHPC_FAULT_JITTER_NS", "750");
   EnvGuard down("JHPC_FAULT_DOWN", "1000:2000");
   EnvGuard links("JHPC_FAULT_LINKS", "1>0:drop=1.0");
-  const FaultPlan plan = FaultPlan::from_env();
+  const FaultPlan plan = minimpi::UniverseConfig{}.fabric.faults;
   EXPECT_TRUE(plan.enabled());
   EXPECT_EQ(plan.seed, 4242u);
   EXPECT_DOUBLE_EQ(plan.link_defaults.drop_prob, 0.25);

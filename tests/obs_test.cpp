@@ -584,20 +584,20 @@ TEST(RecorderTest, EnvCapacityKnobsRejectNonPositiveValues) {
   {
     EnvGuard g("JHPC_TRACE_CAPACITY");
     ::setenv(g.name, "0", 1);
-    EXPECT_THROW(ObsConfig::from_env(), jhpc::InvalidArgumentError);
+    EXPECT_THROW(minimpi::UniverseConfig{}, jhpc::InvalidArgumentError);
     ::setenv(g.name, "-3", 1);
-    EXPECT_THROW(ObsConfig::from_env(), jhpc::InvalidArgumentError);
+    EXPECT_THROW(minimpi::UniverseConfig{}, jhpc::InvalidArgumentError);
     ::setenv(g.name, "abc", 1);
-    EXPECT_THROW(ObsConfig::from_env(), jhpc::InvalidArgumentError);
+    EXPECT_THROW(minimpi::UniverseConfig{}, jhpc::InvalidArgumentError);
     ::setenv(g.name, "128", 1);
-    EXPECT_EQ(ObsConfig::from_env().trace_capacity, 128u);
+    EXPECT_EQ(minimpi::UniverseConfig{}.obs.trace_capacity, 128u);
   }
   {
     EnvGuard g("JHPC_FLIGHT_RECORDER_CAPACITY");
     ::setenv(g.name, "0", 1);
-    EXPECT_THROW(ObsConfig::from_env(), jhpc::InvalidArgumentError);
+    EXPECT_THROW(minimpi::UniverseConfig{}, jhpc::InvalidArgumentError);
     ::setenv(g.name, "32", 1);
-    EXPECT_EQ(ObsConfig::from_env().flight_capacity, 32u);
+    EXPECT_EQ(minimpi::UniverseConfig{}.obs.flight_capacity, 32u);
   }
 }
 

@@ -2,11 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
+#include <string>
 
 #include "jhpc/support/byte_order.hpp"
 #include "jhpc/support/clock.hpp"
-#include "jhpc/support/env.hpp"
 #include "jhpc/support/error.hpp"
+#include "jhpc/support/knobs.hpp"
 #include "jhpc/support/sizes.hpp"
 #include "jhpc/support/stats.hpp"
 #include "jhpc/support/table.hpp"
@@ -219,51 +221,132 @@ TEST(TableTest, WriteCsvReportsIoErrors) {
   EXPECT_THROW(t.write_csv("/nonexistent-dir/out.csv"), Error);
 }
 
+/// Sets one environment variable for a scope, restoring its old value.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_.empty()) {
+      ::unsetenv(name_);
+    } else {
+      ::setenv(name_, old_.c_str(), 1);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::string old_;
+};
+
 TEST(EnvTest, Int64ParseAndDefault) {
-  ::unsetenv("JHPC_TEST_ENV_I");
-  EXPECT_EQ(env_int64("JHPC_TEST_ENV_I", 42), 42);
-  ::setenv("JHPC_TEST_ENV_I", "17", 1);
-  EXPECT_EQ(env_int64("JHPC_TEST_ENV_I", 42), 17);
-  ::setenv("JHPC_TEST_ENV_I", "junk", 1);
-  EXPECT_THROW(env_int64("JHPC_TEST_ENV_I", 42), InvalidArgumentError);
-  ::unsetenv("JHPC_TEST_ENV_I");
+  ::unsetenv("JHPC_SVC_POOL_CAP");
+  std::size_t cap = 42;
+  EXPECT_FALSE(KnobEnv().get("JHPC_SVC_POOL_CAP", cap));
+  EXPECT_EQ(cap, 42u) << "an unset knob leaves the field alone";
+  ScopedEnv e("JHPC_SVC_POOL_CAP", "17");
+  EXPECT_TRUE(KnobEnv().get("JHPC_SVC_POOL_CAP", cap));
+  EXPECT_EQ(cap, 17u);
+  ::setenv("JHPC_SVC_POOL_CAP", "junk", 1);
+  EXPECT_THROW(KnobEnv().get("JHPC_SVC_POOL_CAP", cap), InvalidArgumentError);
+  ::setenv("JHPC_SVC_POOL_CAP", "17x", 1);
+  EXPECT_THROW(KnobEnv().get("JHPC_SVC_POOL_CAP", cap), InvalidArgumentError);
+  ::setenv("JHPC_SVC_POOL_CAP", "", 1);
+  EXPECT_FALSE(KnobEnv().get("JHPC_SVC_POOL_CAP", cap)) << "empty = unset";
 }
 
 TEST(EnvTest, Int64RangeValidates) {
-  ::unsetenv("JHPC_TEST_ENV_R");
-  EXPECT_EQ(env_int64_range("JHPC_TEST_ENV_R", 7, 1), 7);
-  ::setenv("JHPC_TEST_ENV_R", "5", 1);
-  EXPECT_EQ(env_int64_range("JHPC_TEST_ENV_R", 7, 1), 5);
+  int workers = 7;  // JHPC_SVC_WORKERS: an integer in [1, 256]
+  ScopedEnv e("JHPC_SVC_WORKERS", "5");
+  EXPECT_TRUE(KnobEnv().get("JHPC_SVC_WORKERS", workers));
+  EXPECT_EQ(workers, 5);
   // Below the minimum: typed failure naming the knob.
-  ::setenv("JHPC_TEST_ENV_R", "0", 1);
+  ::setenv("JHPC_SVC_WORKERS", "0", 1);
   try {
-    env_int64_range("JHPC_TEST_ENV_R", 7, 1);
+    KnobEnv().get("JHPC_SVC_WORKERS", workers);
     FAIL() << "expected InvalidArgumentError";
   } catch (const InvalidArgumentError& e) {
-    EXPECT_NE(std::string(e.what()).find("JHPC_TEST_ENV_R"),
+    EXPECT_NE(std::string(e.what()).find("JHPC_SVC_WORKERS"),
               std::string::npos);
   }
-  // Above an explicit maximum.
-  ::setenv("JHPC_TEST_ENV_R", "100", 1);
-  EXPECT_THROW(env_int64_range("JHPC_TEST_ENV_R", 7, 1, 64),
+  // Above the maximum.
+  ::setenv("JHPC_SVC_WORKERS", "300", 1);
+  EXPECT_THROW(KnobEnv().get("JHPC_SVC_WORKERS", workers),
                InvalidArgumentError);
-  // No explicit maximum admits any large value.
-  EXPECT_EQ(env_int64_range("JHPC_TEST_ENV_R", 7, 1), 100);
+  // No maximum admits any large value the field holds...
+  std::size_t cap = 0;
+  EXPECT_EQ(parse_knob<std::size_t>("JHPC_SVC_QUEUE_CAP", "100000000000"),
+            100000000000u);
+  // ...and an int field rejects one it cannot hold.
+  EXPECT_THROW(parse_knob<int>("JHPC_SVC_MAX_RANKS", "3000000000"),
+               InvalidArgumentError);
   // Garbage still fails the underlying parse.
-  ::setenv("JHPC_TEST_ENV_R", "junk", 1);
-  EXPECT_THROW(env_int64_range("JHPC_TEST_ENV_R", 7, 1),
-               InvalidArgumentError);
-  ::unsetenv("JHPC_TEST_ENV_R");
+  ::setenv("JHPC_SVC_WORKERS", "junk", 1);
+  EXPECT_THROW(KnobEnv().get("JHPC_SVC_WORKERS", cap), InvalidArgumentError);
 }
 
 TEST(EnvTest, BoolForms) {
-  ::setenv("JHPC_TEST_ENV_B", "TRUE", 1);
-  EXPECT_TRUE(env_bool("JHPC_TEST_ENV_B", false));
-  ::setenv("JHPC_TEST_ENV_B", "0", 1);
-  EXPECT_FALSE(env_bool("JHPC_TEST_ENV_B", true));
-  ::setenv("JHPC_TEST_ENV_B", "maybe", 1);
-  EXPECT_THROW(env_bool("JHPC_TEST_ENV_B", true), InvalidArgumentError);
-  ::unsetenv("JHPC_TEST_ENV_B");
+  bool on = false;
+  ScopedEnv e("JHPC_PVARS", "TRUE");
+  EXPECT_TRUE(KnobEnv().get("JHPC_PVARS", on));
+  EXPECT_TRUE(on);
+  ::setenv("JHPC_PVARS", "0", 1);
+  KnobEnv().get("JHPC_PVARS", on);
+  EXPECT_FALSE(on);
+  ::setenv("JHPC_PVARS", "maybe", 1);
+  EXPECT_THROW(KnobEnv().get("JHPC_PVARS", on), InvalidArgumentError);
+}
+
+TEST(KnobTest, TableRowsAreWellFormed) {
+  EXPECT_EQ(std::size(kKnobs), 40u);
+  std::set<std::string> names;
+  for (const KnobRow& row : kKnobs) {
+    EXPECT_EQ(std::string(row.name).rfind("JHPC_", 0), 0u) << row.name;
+    EXPECT_TRUE(names.insert(row.name).second) << row.name << " twice";
+    EXPECT_NE(std::string(row.doc), "") << row.name;
+    EXPECT_EQ(row.type == KnobType::kChoice, row.choices != nullptr)
+        << row.name;
+    if (row.type == KnobType::kInt || row.type == KnobType::kReal) {
+      EXPECT_LE(row.lo, row.hi) << row.name;
+      EXPECT_GT(row.lo, -1e300) << row.name << " has no lower bound";
+    }
+  }
+}
+
+TEST(KnobTest, RealRowsCheckOpenAndClosedBounds) {
+  EXPECT_DOUBLE_EQ(parse_knob<double>("JHPC_FAULT_DROP", "1"), 1.0);
+  EXPECT_THROW(parse_knob<double>("JHPC_FAULT_DROP", "7"),
+               InvalidArgumentError);
+  EXPECT_THROW(parse_knob<double>("JHPC_FAULT_DROP", "nan"),
+               InvalidArgumentError);
+  EXPECT_THROW(parse_knob<double>("JHPC_INTER_BW_MBPS", "0"),
+               InvalidArgumentError);
+  EXPECT_DOUBLE_EQ(parse_knob<double>("JHPC_INTER_BW_MBPS", "0.5"), 0.5);
+}
+
+TEST(KnobTest, ChoiceRowsSelectByPosition) {
+  enum class Placement { kBlock, kRoundRobin };
+  EXPECT_EQ(parse_knob<Placement>("JHPC_PLACEMENT", "rr"),
+            Placement::kRoundRobin);
+  EXPECT_EQ(parse_knob<std::string>("JHPC_COLL", "hier"), "hier");
+  try {
+    parse_knob<std::string>("JHPC_COLL", "bogus");
+    FAIL() << "expected InvalidArgumentError";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find("mv2|basic|hier"),
+              std::string::npos);
+  }
+  EXPECT_EQ(parse_knob<std::string>("JHPC_TRACE", "any/path.json"),
+            "any/path.json");
+}
+
+TEST(KnobTest, EnvIgnoresNamesWithNoRow) {
+  ScopedEnv unknown("JHPC_NOT_A_KNOB", "x");
+  ScopedEnv known("JHPC_TRACE", "t.json");
+  const KnobEnv env;
+  EXPECT_STREQ(env.raw("JHPC_TRACE"), "t.json");
 }
 
 TEST(ByteOrderTest, RoundTripBothOrders) {
